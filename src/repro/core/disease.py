@@ -14,8 +14,19 @@ transmission function: *infectivity* (how strongly an occupant of this
 state sheds) and *susceptibility* (how easily they acquire).
 
 The implementation is array-oriented: a :class:`DiseaseModel` compiles
-its states into flat NumPy arrays so a whole population's daily update
-is a handful of vectorised operations (see :meth:`DiseaseModel.advance_day`).
+its states into flat NumPy arrays and its transition sets into a
+``(state, treatment) -> group`` table, so a whole population's daily
+update is one vector pass over the persons that change state (see
+:meth:`DiseaseModel.advance_day` and :meth:`DiseaseModel.infect`).
+
+Every draw stays keyed on ``(day, person)``: the pass derives the seeds
+of all persons that consume randomness at once, replays the first words
+of their PCG64 streams (:mod:`repro.util.pcg`), picks each transition
+with a ``searchsorted`` per group and draws UNIFORM dwells with
+Lemire's method — bit-identical to one
+``rng_factory.stream(PERSON, day, person, salt)`` Generator per person.
+Only Lemire rejections and GEOMETRIC/GAMMA dwells fall back to that
+scalar Generator, replayed from the same stream.
 """
 
 from __future__ import annotations
@@ -25,7 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.util.rng import RngFactory
+from repro.util.pcg import bounded_uint32, word_uniforms
+from repro.util.rng import RngFactory, keyed_words
 
 __all__ = [
     "DwellKind",
@@ -73,14 +85,14 @@ class DwellDistribution:
 
     @classmethod
     def fixed(cls, days: int) -> "DwellDistribution":
-        if days < 1:
-            raise ValueError("fixed dwell must be >= 1 day")
+        if not (1 <= days < FOREVER):
+            raise ValueError("fixed dwell must be >= 1 day and below the FOREVER sentinel")
         return cls(DwellKind.FIXED, float(days))
 
     @classmethod
     def uniform(cls, lo: int, hi: int) -> "DwellDistribution":
-        if not (1 <= lo <= hi):
-            raise ValueError("need 1 <= lo <= hi")
+        if not (1 <= lo <= hi < FOREVER):
+            raise ValueError("need 1 <= lo <= hi < FOREVER")
         return cls(DwellKind.UNIFORM, float(lo), float(hi))
 
     @classmethod
@@ -105,10 +117,12 @@ class DwellDistribution:
             return np.full(n, int(self.a), dtype=np.int32)
         if self.kind == DwellKind.UNIFORM:
             return rng.integers(int(self.a), int(self.b) + 1, size=n, dtype=np.int32)
+        # Finite draws saturate one day short of the FOREVER sentinel.
         if self.kind == DwellKind.GEOMETRIC:
-            return rng.geometric(self.a, size=n).astype(np.int32)
+            return np.minimum(rng.geometric(self.a, size=n), FOREVER - 1).astype(np.int32)
         if self.kind == DwellKind.GAMMA:
-            return np.maximum(1, np.ceil(rng.gamma(self.a, self.b, size=n))).astype(np.int32)
+            days = np.clip(np.ceil(rng.gamma(self.a, self.b, size=n)), 1, FOREVER - 1)
+            return days.astype(np.int32)
         return np.full(n, FOREVER, dtype=np.int32)
 
     @property
@@ -262,6 +276,50 @@ class DiseaseModel:
                 targets = np.array([self.index[tr.target] for tr in trs], dtype=np.int32)
                 cum = np.cumsum([tr.prob for tr in trs])
                 self._compiled[(i, t)] = (targets, cum)
+        self._compile_tables()
+
+    def _compile_tables(self) -> None:
+        """Per-state dwell arrays and the (state, treatment) lookup tables.
+
+        Treatment columns cover every id in a transition set or in
+        ``infection_entry``; :meth:`_treatment_slots` maps any other id
+        to the UNTREATED column.  ``_group[s, t]`` indexes the
+        ``(targets, cum)`` transition set a due person uses (-1 for
+        none), and ``_entry[s, t]`` is the state an infected person
+        enters.
+        """
+        dwells = [s.dwell for s in self.states]
+        self._dwell_kind = np.array([d.kind for d in dwells], dtype=np.int8)
+        # Day bounds of FIXED (lo) and UNIFORM (lo, hi) dwells; 0 otherwise.
+        bounds = [
+            (d.a, d.b) if d.kind in (DwellKind.FIXED, DwellKind.UNIFORM) else (0, 0)
+            for d in dwells
+        ]
+        self._dwell_lo, self._dwell_hi = np.array(bounds, dtype=np.int64).reshape(-1, 2).T
+        self._dwell_random = np.isin(
+            self._dwell_kind, (DwellKind.UNIFORM, DwellKind.GEOMETRIC, DwellKind.GAMMA)
+        )
+        known = sorted(set(self.treatments) | set(self.infection_entry))
+        self._slot_treatments = np.array(known, dtype=np.int64)
+        self._untreated_slot = known.index(UNTREATED)
+        shape = (self.n_states, len(known))
+        self._group = np.full(shape, -1, dtype=np.int64)
+        self._entry = np.empty(shape, dtype=np.int32)
+        group_of: dict[tuple[int, int], int] = {}
+        for s in range(self.n_states):
+            for j, t in enumerate(known):
+                key = (s, t) if (s, t) in self._compiled else (s, UNTREATED)
+                if key in self._compiled:
+                    self._group[s, j] = group_of.setdefault(key, len(group_of))
+                entry = self._entry_by_state_index.get(s)
+                self._entry[s, j] = self.entry_state(t) if entry is None else entry
+        self._group_tables = [self._compiled[key] for key in group_of]
+        self._group_first = np.array(
+            [targets[0] for targets, _ in self._group_tables], dtype=np.int32
+        )
+        self._group_size = np.array(
+            [targets.size for targets, _ in self._group_tables], dtype=np.int64
+        )
 
     @property
     def n_states(self) -> int:
@@ -292,6 +350,67 @@ class DiseaseModel:
     _ADVANCE_SALT = 0
     _INFECT_SALT = 1
 
+    def _treatment_slots(self, treatment: np.ndarray) -> np.ndarray:
+        """Column of each treatment id in the group/entry tables.
+
+        Ids the model does not know fall back to :data:`UNTREATED`.
+        """
+        known = self._slot_treatments
+        slot = np.searchsorted(known, treatment)
+        np.minimum(slot, known.size - 1, out=slot)
+        return np.where(known[slot] == treatment, slot, self._untreated_slot)
+
+    def _draw_dwells(
+        self,
+        persons: np.ndarray,
+        states: np.ndarray,
+        words: np.ndarray,
+        day: int,
+        rng_factory,
+        salt: int,
+        skip: int,
+    ) -> np.ndarray:
+        """Dwell of each person entering ``states``, as the scalar path draws it.
+
+        ``words`` holds, per row, the stream word whose low half is the
+        dwell's first 32-bit draw.  UNIFORM dwells use Lemire's method
+        on it; a Lemire rejection, GEOMETRIC and GAMMA fall back to a
+        Generator on the person's stream after ``skip`` ``random()``
+        calls.
+        """
+        kind = self._dwell_kind[states]
+        out = np.where(kind == DwellKind.FIXED, self._dwell_lo[states], FOREVER)
+        fallback = (kind == DwellKind.GEOMETRIC) | (kind == DwellKind.GAMMA)
+        uni = np.flatnonzero(kind == DwellKind.UNIFORM)
+        if uni.size:
+            ns = states[uni]
+            out[uni], rejected = bounded_uint32(
+                words[uni], self._dwell_lo[ns], self._dwell_hi[ns]
+            )
+            fallback[uni[rejected]] = True
+        for i in np.flatnonzero(fallback):
+            gen = rng_factory.stream(RngFactory.PERSON, day, int(persons[i]), salt)
+            for _ in range(skip):
+                gen.random()
+            out[i] = self.states[states[i]].dwell.sample(gen, 1)[0]
+        return out
+
+    @staticmethod
+    def _stream_words(
+        persons: np.ndarray, drawn: np.ndarray, day: int, rng_factory, salt: int, n: int
+    ) -> np.ndarray:
+        """First ``n`` raw words of each ``(PERSON, day, person, salt)`` stream.
+
+        Only the rows flagged in ``drawn`` derive a seed; the others
+        stay zero.
+        """
+        words = np.zeros((persons.size, n), dtype=np.uint64)
+        if drawn.any():
+            words[drawn] = keyed_words(
+                rng_factory.root_seed, n, RngFactory.PERSON, day, persons[drawn], salt
+            )
+        return words
+
     def advance_day(
         self,
         state: np.ndarray,
@@ -313,6 +432,11 @@ class DiseaseModel:
         Because draws are keyed per (day, person), advancing the whole
         population at once or as a disjoint union of subsets yields
         identical results.
+
+        Each due person draws from its ``(PERSON, day, person, 0)``
+        stream: ``random()`` picks the transition, then the new state's
+        dwell.  Only persons with a choice to make or a random dwell
+        derive a seed.
         """
         if subset is None:
             live = remaining != FOREVER
@@ -325,23 +449,26 @@ class DiseaseModel:
             due = live[remaining[live] <= 0]
         if due.size == 0:
             return due
-        changed: list[int] = []
-        for p in due:
-            p = int(p)
-            s = int(state[p])
-            t = int(treatment[p])
-            compiled = self._compiled.get((s, t)) or self._compiled.get((s, UNTREATED))
-            if compiled is None:  # pragma: no cover - absorbing states never come due
-                continue
-            gen = rng_factory.stream(RngFactory.PERSON, day, p, self._ADVANCE_SALT)
-            targets, cum = compiled
-            choice = min(int(np.searchsorted(cum, gen.random(), side="right")), len(targets) - 1)
-            ns = int(targets[choice])
-            state[p] = ns
-            dwell = self.states[ns].dwell
-            remaining[p] = FOREVER if dwell.kind == DwellKind.FOREVER else int(dwell.sample(gen, 1)[0])
-            changed.append(p)
-        return np.asarray(changed, dtype=np.int64)
+        group = self._group[state[due], self._treatment_slots(treatment[due])]
+        keep = group >= 0  # no transition set: the person stays put
+        due, group = due[keep].astype(np.int64), group[keep]
+        target = self._group_first[group]
+        choose = np.flatnonzero(self._group_size[group] > 1)
+        drawn = self._dwell_random[target]
+        drawn[choose] = True
+        words = self._stream_words(due, drawn, day, rng_factory, self._ADVANCE_SALT, 2)
+        u = word_uniforms(words[choose, 0])
+        g_choose = group[choose]
+        for g in np.unique(g_choose):
+            sel = g_choose == g
+            targets, cum = self._group_tables[g]
+            pick = np.searchsorted(cum, u[sel], side="right")
+            target[choose[sel]] = targets[np.minimum(pick, targets.size - 1)]
+        state[due] = target
+        remaining[due] = self._draw_dwells(
+            due, target, words[:, 1], day, rng_factory, self._ADVANCE_SALT, 1
+        )
+        return due
 
     def infect(
         self,
@@ -360,22 +487,21 @@ class DiseaseModel:
         matching the paper's step 5).  The entry state is chosen per
         ``infection_entry_by_state`` for partially-immune states, else
         per treatment.  Returns the persons actually infected.
+
+        A random entry dwell is drawn from the person's ``(PERSON, day,
+        person, 1)`` stream.
         """
         persons = np.unique(np.asarray(persons, dtype=np.int64))
-        mask = self.is_susceptible[state[persons]]
-        hit = persons[mask]
-        for p in hit:
-            p = int(p)
-            entry = self._entry_by_state_index.get(int(state[p]))
-            if entry is None:
-                entry = self.entry_state(int(treatment[p]))
-            state[p] = entry
-            dwell = self.states[entry].dwell
-            if dwell.kind == DwellKind.FOREVER:
-                remaining[p] = FOREVER
-            else:
-                gen = rng_factory.stream(RngFactory.PERSON, day, p, self._INFECT_SALT)
-                remaining[p] = int(dwell.sample(gen, 1)[0])
+        hit = persons[self.is_susceptible[state[persons]]]
+        if hit.size == 0:
+            return hit
+        entry = self._entry[state[hit], self._treatment_slots(treatment[hit])]
+        state[hit] = entry
+        drawn = self._dwell_random[entry]
+        words = self._stream_words(hit, drawn, day, rng_factory, self._INFECT_SALT, 1)
+        remaining[hit] = self._draw_dwells(
+            hit, entry, words[:, 0], day, rng_factory, self._INFECT_SALT, 0
+        )
         return hit
 
 

@@ -1,33 +1,38 @@
-"""Vectorised re-implementation of numpy's seed→first-uniform pipeline.
+"""Vectorised re-implementation of numpy's seed→PCG64 output pipeline.
 
 The keyed-RNG contract (:mod:`repro.util.rng`) is that a stream's draws
 depend only on its derived 64-bit seed, never on execution order.  The
-hot paths, however, need exactly *one* uniform per key — and paying a
-full ``Generator(PCG64(SeedSequence(seed)))`` construction (~µs) for a
-single double is what made the per-person loop in the exposure kernel
-the profile's top entry.
+hot paths, however, need only the first one or two draws per key — and
+paying a full ``Generator(PCG64(SeedSequence(seed)))`` construction
+(~16 µs) for a couple of words is what made the per-entity loops of the
+exposure kernel and the PTTS update the profile's top entries.
 
 This module replays, with pure ``uint32``/``uint64`` numpy array
 arithmetic, precisely what numpy does between an integer seed and the
-first ``.random()`` draw:
+first few draws of a stream:
 
 1. ``SeedSequence(seed).generate_state(4, uint64)`` — O'Neill-style
    entropy pool mixing (``_seedseq_state``);
 2. PCG64 stream initialisation from those four words and one LCG step
    (128-bit multiply-add, carried as hi/lo ``uint64`` pairs);
-3. the XSL-RR output permutation and the 53-bit mantissa scaling of
-   ``Generator.random()`` (``first_uniforms``).
+3. the XSL-RR output permutation of each further LCG step
+   (``raw_outputs``: the words of ``PCG64.random_raw()``);
+4. the two ways a ``Generator`` consumes those words here: the 53-bit
+   mantissa scaling of ``Generator.random()`` (``word_uniforms``;
+   ``first_uniforms`` applies it to each stream's first word) and
+   Lemire's bounded ``uint32`` draw of ``Generator.integers(lo, hi + 1,
+   dtype=np.int32)`` on the low half of a word (``bounded_uint32``).
 
 ``tests/util/test_rng_batched.py`` pins bit-for-bit equality against
-``np.random.Generator(np.random.PCG64(seed)).random()`` across edge and
-random seeds — any numpy behaviour change breaks loudly, not silently.
+numpy's own ``PCG64``/``Generator`` across edge and random seeds — any
+numpy behaviour change breaks loudly, not silently.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["first_uniforms"]
+__all__ = ["raw_outputs", "word_uniforms", "first_uniforms", "bounded_uint32"]
 
 _U32 = np.uint32
 _U64 = np.uint64
@@ -125,16 +130,18 @@ def _add128(ah, al, bh, bl):
     return ah + bh + (lo < al).astype(_U64), lo
 
 
-def first_uniforms(seeds: np.ndarray) -> np.ndarray:
-    """First ``Generator.random()`` double of each seed's PCG64 stream.
+def raw_outputs(seeds: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` ``next_uint64`` words of each seed's PCG64 stream.
 
-    ``seeds`` is a ``uint64`` array; the result is bit-identical to
-    ``np.random.Generator(np.random.PCG64(int(s))).random()`` per
-    element, computed without constructing any Generator objects.
+    ``seeds`` is a ``uint64`` array; the result has shape
+    ``seeds.shape + (n,)`` and ``out[..., k]`` is bit-identical to the
+    ``k``-th ``np.random.PCG64(int(s)).random_raw()`` word per element,
+    computed without constructing any bit generator.
     """
     seeds = np.ascontiguousarray(seeds, dtype=_U64)
-    if seeds.size == 0:
-        return np.empty(seeds.shape, dtype=np.float64)
+    out = np.empty(seeds.shape + (n,), dtype=_U64)
+    if seeds.size == 0 or n == 0:
+        return out
     w0, w1, w2, w3 = _seedseq_state(seeds)
     # pcg64_srandom: inc = (initseq << 1) | 1; state = inc + initstate,
     # then one LCG step.  initstate = w0:w1, initseq = w2:w3.
@@ -147,9 +154,50 @@ def first_uniforms(seeds: np.ndarray) -> np.ndarray:
         return _add128(hi, lo, inc_hi, inc_lo)
 
     st_hi, st_lo = step(st_hi, st_lo)
-    # First next_uint64: step, then XSL-RR output of the new state.
-    st_hi, st_lo = step(st_hi, st_lo)
-    rot = st_hi >> _U64(58)
-    xored = st_hi ^ st_lo
-    word = (xored >> rot) | (xored << ((_U64(64) - rot) & _U64(63)))
-    return (word >> _U64(11)) * _DOUBLE_SCALE
+    for k in range(n):
+        # next_uint64: step, then XSL-RR output of the new state.
+        st_hi, st_lo = step(st_hi, st_lo)
+        rot = st_hi >> _U64(58)
+        xored = st_hi ^ st_lo
+        out[..., k] = (xored >> rot) | (xored << ((_U64(64) - rot) & _U64(63)))
+    return out
+
+
+def word_uniforms(words: np.ndarray) -> np.ndarray:
+    """The ``Generator.random()`` double that consumes each 64-bit word."""
+    return (np.asarray(words, dtype=_U64) >> _U64(11)) * _DOUBLE_SCALE
+
+
+def first_uniforms(seeds: np.ndarray) -> np.ndarray:
+    """First ``Generator.random()`` double of each seed's PCG64 stream.
+
+    ``seeds`` is a ``uint64`` array; the result is bit-identical to
+    ``np.random.Generator(np.random.PCG64(int(s))).random()`` per
+    element, computed without constructing any Generator objects.
+    """
+    return word_uniforms(raw_outputs(seeds, 1)[..., 0])
+
+
+def bounded_uint32(words: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's bounded draw in ``[lo, hi]`` from the low half of ``words``.
+
+    This is ``Generator.integers(lo, hi + 1, dtype=np.int32)`` when the
+    stream's next ``next_uint32`` is the low 32 bits of ``words`` — the
+    case for the first 32-bit draw after any whole number of 64-bit
+    ones (PCG64 buffers the high half for the following call).
+    ``lo``/``hi`` broadcast against ``words`` and need ``hi - lo <
+    2**32 - 1``.
+
+    Returns ``(values, rejected)``: an ``int64`` array and a mask of the
+    elements whose first candidate numpy rejects (it would then draw
+    again).  ``values`` is meaningless where ``rejected`` is set; the
+    caller replays those elements with a real Generator.
+    """
+    words = np.asarray(words, dtype=_U64)
+    lo = np.asarray(lo, dtype=np.int64)
+    span = (np.asarray(hi, dtype=np.int64) - lo).astype(_U64) + _U64(1)
+    m = (words & _LOW32) * span
+    # numpy rejects while leftover < (2**32 - span) % span.
+    threshold = (_U64(1 << 32) - span) % span
+    rejected = (m & _LOW32) < threshold
+    return lo + (m >> _U64(32)).astype(np.int64), rejected

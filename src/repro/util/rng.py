@@ -4,9 +4,17 @@ The simulator needs randomness that is independent of *execution order*:
 whether persons are processed sequentially, by chare, or across simulated
 PEs, person ``p`` on day ``d`` must see the same draws.  We achieve this by
 deriving a child seed from ``(root_seed, *keys)`` with a stable integer
-hash and constructing a fresh :class:`numpy.random.Generator` per keyed
-stream.  Stream construction is cheap (~1 microsecond) relative to the
-work done per stream (a day's worth of draws for one entity).
+hash; a keyed stream is the :class:`numpy.random.Generator` seeded with
+that child seed.
+
+Constructing a Generator costs ~16 microseconds, far more than the one
+or two draws a hot-path stream needs.  The location phase
+(:func:`keyed_uniforms`) and the person and apply phases
+(:meth:`repro.core.disease.DiseaseModel.advance_day` / ``infect``)
+therefore batch their keyed draws: :func:`derive_seeds` derives all
+seeds of a phase at once and :mod:`repro.util.pcg` replays the first
+words of every stream with array arithmetic, bit-identical to the
+Generator.  :meth:`RngFactory.stream` remains for everything else.
 """
 
 from __future__ import annotations
@@ -16,12 +24,13 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.util.pcg import first_uniforms
+from repro.util.pcg import raw_outputs, word_uniforms
 
 __all__ = [
     "derive_seed",
     "derive_seeds",
     "spawn_generator",
+    "keyed_words",
     "keyed_uniforms",
     "RngFactory",
 ]
@@ -85,21 +94,32 @@ def spawn_generator(root_seed: int, *keys: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(root_seed, *keys)))
 
 
-def keyed_uniforms(root_seed: int, *key_cols) -> np.ndarray:
-    """One U(0,1) draw per key tuple, fully batched.
+def keyed_words(root_seed: int, n: int, *key_cols) -> np.ndarray:
+    """The first ``n`` raw 64-bit words of every keyed stream, batched.
 
     ``key_cols`` are integer arrays (or scalars, broadcast against the
     array columns); tuple ``j`` is ``(key_cols[0][j], key_cols[1][j],
-    ...)``.  Element ``j`` is bit-identical to
-    ``spawn_generator(root_seed, *tuple_j).random()`` — the same seed
-    derivation (BLAKE2b) feeds a vectorised replay of numpy's
-    SeedSequence→PCG64 pipeline (:mod:`repro.util.pcg`) instead of one
-    Generator construction per tuple, which is what makes per-entity
-    keyed coin flips affordable on the exposure hot path.
+    ...)``.  ``out[..., k]`` is bit-identical to the ``k``-th
+    ``spawn_generator(root_seed, *tuple_j).bit_generator.random_raw()``
+    word — the same seed derivation (BLAKE2b) feeds a vectorised replay
+    of numpy's SeedSequence→PCG64 pipeline (:mod:`repro.util.pcg`)
+    instead of one Generator construction per tuple.
     """
     cols = np.broadcast_arrays(*[np.asarray(c, dtype=np.int64) for c in key_cols])
     keys = np.column_stack([c.ravel() for c in cols])
-    return first_uniforms(derive_seeds(root_seed, keys)).reshape(cols[0].shape)
+    words = raw_outputs(derive_seeds(root_seed, keys), n)
+    return words.reshape(cols[0].shape + (n,))
+
+
+def keyed_uniforms(root_seed: int, *key_cols) -> np.ndarray:
+    """One U(0,1) draw per key tuple, fully batched.
+
+    Element ``j`` is bit-identical to
+    ``spawn_generator(root_seed, *tuple_j).random()`` (see
+    :func:`keyed_words` for the key layout), which is what makes
+    per-entity keyed coin flips affordable on the exposure hot path.
+    """
+    return word_uniforms(keyed_words(root_seed, 1, *key_cols)[..., 0])
 
 
 class RngFactory:

@@ -51,6 +51,42 @@ class TestDwellDistribution:
         with pytest.raises(ValueError):
             DwellDistribution.geometric(0.0)
 
+    def test_finite_bounds_stay_below_forever(self):
+        with pytest.raises(ValueError):
+            DwellDistribution.fixed(FOREVER)
+        with pytest.raises(ValueError):
+            DwellDistribution.uniform(1, FOREVER)
+        assert DwellDistribution.fixed(FOREVER - 1).a == FOREVER - 1
+        assert DwellDistribution.uniform(1, FOREVER - 1).b == FOREVER - 1
+
+    @pytest.mark.parametrize(
+        "dwell", [DwellDistribution.gamma(1.0, 1e10), DwellDistribution.geometric(1e-12)]
+    )
+    def test_huge_draws_saturate_below_forever(self, rng, dwell):
+        s = dwell.sample(rng, 200)
+        assert s.dtype == np.int32
+        assert s.min() >= 1 and s.max() == FOREVER - 1
+
+    def test_saturated_dwell_does_not_transition_next_day(self):
+        states = [
+            HealthState("S", susceptibility=1.0),
+            HealthState(
+                "E",
+                dwell=DwellDistribution.geometric(1e-12),
+                transitions={UNTREATED: (Transition("R", 1.0),)},
+            ),
+            HealthState("R"),
+        ]
+        m = DiseaseModel(states, "S", {UNTREATED: "E"})
+        state, remaining = m.initial_health(20)
+        treatment = np.zeros(20, dtype=np.int32)
+        f = RngFactory(0)
+        m.infect(np.arange(20), state, remaining, treatment, -1, f)
+        assert np.all(remaining == FOREVER - 1)
+        assert m.advance_day(state, remaining, treatment, 0, f).size == 0
+        assert np.all(state == m.state_index("E"))
+        assert np.all(remaining == FOREVER - 2)
+
 
 class TestModelValidation:
     def test_transition_probs_must_sum_to_one(self):

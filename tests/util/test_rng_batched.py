@@ -10,8 +10,8 @@ golden traces and the cross-kernel differential both rest on this.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.util.pcg import first_uniforms
-from repro.util.rng import RngFactory, derive_seed, derive_seeds, keyed_uniforms
+from repro.util.pcg import bounded_uint32, first_uniforms, raw_outputs
+from repro.util.rng import RngFactory, derive_seed, derive_seeds, keyed_uniforms, keyed_words
 
 i64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
@@ -41,6 +41,80 @@ class TestFirstUniforms:
     def test_any_seed_exact(self, seed):
         got = first_uniforms(np.array([seed], dtype=np.uint64))[0]
         assert got == reference_first_uniform(seed)
+
+
+class TestRawOutputs:
+    def test_kth_word_matches_random_raw(self):
+        rng = np.random.default_rng(99)
+        seeds = np.concatenate([
+            np.array([0, 1, 2**32, 2**64 - 1], dtype=np.uint64),
+            rng.integers(0, 2**64, size=200, dtype=np.uint64),
+        ])
+        got = raw_outputs(seeds, 3)
+        assert got.shape == (seeds.size, 3) and got.dtype == np.uint64
+        expected = np.array([np.random.PCG64(int(s)).random_raw(3) for s in seeds])
+        np.testing.assert_array_equal(got, expected)
+
+    def test_shape_and_empty(self):
+        assert raw_outputs(np.empty(0, dtype=np.uint64), 2).shape == (0, 2)
+        assert raw_outputs(np.arange(6, dtype=np.uint64).reshape(2, 3), 1).shape == (2, 3, 1)
+
+    @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(1, 4))
+    @settings(max_examples=30)
+    def test_any_seed_exact(self, seed, n):
+        got = raw_outputs(np.array([seed], dtype=np.uint64), n)[0]
+        np.testing.assert_array_equal(got, np.random.PCG64(seed).random_raw(n))
+
+
+def _reference_bounded(seed: int, lo: int, hi: int, skip: int):
+    """numpy's draw and whether it needed more than one 32-bit candidate."""
+    gen = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(skip):
+        gen.random()
+    before = gen.bit_generator.state
+    value = int(gen.integers(lo, hi + 1, size=1, dtype=np.int32)[0])
+    after = gen.bit_generator.state
+    after_one_word = np.random.PCG64(seed)
+    after_one_word.random_raw(skip + 1)
+    no_candidate = after == before  # lo == hi draws nothing
+    one_candidate = (
+        after["has_uint32"] == 1 and after["state"] == after_one_word.state["state"]
+    )
+    return value, not (no_candidate or one_candidate)
+
+
+class TestBoundedUint32:
+    """Lemire draws vs ``Generator.integers(lo, hi + 1, dtype=np.int32)``."""
+
+    SEEDS = np.random.default_rng(5).integers(0, 2**64, size=300, dtype=np.uint64)
+
+    def _check(self, lo, hi, skip):
+        words = raw_outputs(self.SEEDS, skip + 1)[:, skip]
+        values, rejected = bounded_uint32(words, lo, hi)
+        for s, v, r in zip(self.SEEDS, values, rejected):
+            ref, numpy_rejected = _reference_bounded(int(s), lo, hi, skip)
+            assert bool(r) == numpy_rejected
+            if not r:
+                assert v == ref
+        return rejected
+
+    def test_small_ranges_after_zero_and_one_random(self):
+        for lo, hi in [(1, 1), (1, 3), (3, 6), (7, 1000), (1, 2**31 - 2)]:
+            for skip in (0, 1):
+                self._check(lo, hi, skip)
+
+    def test_rejection_heavy_range(self):
+        # span ~2**32 / 3: about a third of first candidates are rejected.
+        for skip in (0, 1):
+            rejected = self._check(1, 1_431_655_766, skip)
+            assert 0.2 < rejected.mean() < 0.45
+
+    def test_per_element_bounds_broadcast(self):
+        words = raw_outputs(self.SEEDS[:50], 1)[:, 0]
+        lo = np.arange(1, 51)
+        values, rejected = bounded_uint32(words, lo, lo + 4)
+        assert not rejected.any()
+        assert np.all((values >= lo) & (values <= lo + 4))
 
 
 class TestDeriveSeeds:
@@ -84,6 +158,16 @@ class TestKeyedUniforms:
             [np.random.Generator(np.random.PCG64(derive_seed(3, 2, i, 0))).random()
              for i in range(10)]
         )
+        np.testing.assert_array_equal(got, expected)
+
+    def test_keyed_words_match_random_raw(self):
+        persons = np.array([0, 7, 2**40, 3])
+        got = keyed_words(11, 2, RngFactory.PERSON, -1, persons, 1)
+        assert got.shape == (4, 2)
+        expected = np.array([
+            np.random.PCG64(derive_seed(11, RngFactory.PERSON, -1, int(p), 1)).random_raw(2)
+            for p in persons
+        ])
         np.testing.assert_array_equal(got, expected)
 
     def test_preserves_shape(self):
