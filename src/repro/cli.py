@@ -765,7 +765,15 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    from repro.util.rng import check_seed
+
     args = build_parser().parse_args(argv)
+    for name in ("seed", "pop_seed", "master_seed"):
+        try:
+            check_seed(getattr(args, name, 0))
+        except ValueError as exc:
+            print(f"error: --{name.replace('_', '-')}: {exc}", file=sys.stderr)
+            return 2
     return _COMMANDS[args.command](args)
 
 

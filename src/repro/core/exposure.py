@@ -9,27 +9,30 @@ the parallel execution reproduce the sequential one exactly.
 
 Three interchangeable kernels implement the phase:
 
-* ``"flat"`` (default) — one global sort of the day's candidate visits
-  by ``(location, sublocation)``, sublocation-blocked pair enumeration
-  (:func:`~repro.core.des.blocked_pairwise_exposures`), segment-reduced
-  hazard accumulation over the whole visit set, and one batched
-  keyed-uniform draw (:meth:`~repro.util.rng.RngFactory.keyed_uniforms`)
-  for every exposed person at once;
+* ``"compiled"`` (the default when the C library loads) — the flat
+  kernel's candidate filter and sort, with the pair enumeration +
+  hazard reduction replaced by one streaming C loop
+  (:mod:`repro.core.ckernel`, built on demand via ``ctypes``) that
+  never materialises a per-pair array;
+* ``"flat"`` (the default without a C toolchain, or with
+  ``REPRO_NO_CKERNEL=1``) — one global sort of the day's candidate
+  visits by ``(location, sublocation)``, sublocation-blocked pair
+  enumeration (:func:`~repro.core.des.blocked_pairwise_exposures`),
+  segment-reduced hazard accumulation over the whole visit set, and
+  one batched keyed-uniform draw
+  (:meth:`~repro.util.rng.RngFactory.keyed_uniforms`) for every
+  exposed person at once;
 * ``"grouped"`` — the reference formulation: a Python loop over
   locations, a per-location S×I cross product masked by sublocation
   after materialisation, and one keyed ``Generator`` per exposed
-  person;
-* ``"compiled"`` — the flat kernel's candidate filter and sort, with
-  the pair enumeration + hazard reduction replaced by one streaming C
-  loop (:mod:`repro.core.ckernel`, built on demand via ``ctypes``)
-  that never materialises a per-pair array.  Only usable when
-  :func:`repro.core.ckernel.available` — no C toolchain means callers
-  fall back to the pure-numpy kernels.
+  person.
 
-All kernels produce bit-identical results — same infection events in
-the same order, same statistics — which ``repro validate
---diff-kernels`` and the differential oracle certify; ``"flat"`` is
-much faster than ``"grouped"`` on heavy-tailed populations (see
+``kernel=None`` is resolved per call by :func:`resolve_kernel`, so
+nothing is compiled or loaded at import time.  All kernels produce
+bit-identical results — same infection events in the same order, same
+statistics, same pair count — which ``repro validate --diff-kernels``
+and the differential oracle certify; ``"flat"`` is much faster than
+``"grouped"`` on heavy-tailed populations (see
 ``benchmarks/bench_exposure_kernel.py``) and ``"compiled"`` beats
 ``"flat"`` again by skipping the pair materialisation entirely.
 """
@@ -42,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import observe
+from repro.core import ckernel
 from repro.core.des import blocked_pairwise_exposures, pairwise_exposures
 from repro.core.disease import DiseaseModel
 from repro.core.transmission import TransmissionModel
@@ -50,6 +54,7 @@ from repro.util.rng import RngFactory
 __all__ = [
     "KERNELS",
     "DEFAULT_KERNEL",
+    "resolve_kernel",
     "InfectionEvent",
     "LocationPhaseResult",
     "compute_infections",
@@ -58,7 +63,19 @@ __all__ = [
 #: Available exposure kernels (see module docstring).  ``"compiled"``
 #: additionally needs a C toolchain (``repro.core.ckernel.available``).
 KERNELS = ("flat", "grouped", "compiled")
+#: The pure-numpy kernel ``kernel=None`` resolves to when the C library
+#: does not load (see :func:`resolve_kernel`).
 DEFAULT_KERNEL = "flat"
+
+
+def resolve_kernel(kernel: str | None) -> str:
+    """The kernel a ``kernel`` argument selects: ``None`` means
+    ``"compiled"`` when :func:`repro.core.ckernel.available`, else
+    :data:`DEFAULT_KERNEL`.  Loads (building on first use) the C
+    library, so call it at run time, not import time."""
+    if kernel is not None:
+        return kernel
+    return "compiled" if ckernel.available() else DEFAULT_KERNEL
 
 
 @dataclass(frozen=True)
@@ -79,11 +96,14 @@ class LocationPhaseResult:
     events: Counter = field(default_factory=Counter)
     #: per-location S×I interaction counts
     interactions: Counter = field(default_factory=Counter)
+    #: interacting S×I visit pairs (positive overlap), every kernel
+    pairs: int = 0
 
     def merge(self, other: "LocationPhaseResult") -> None:
         self.infections.extend(other.infections)
         self.events.update(other.events)
         self.interactions.update(other.interactions)
+        self.pairs += other.pairs
 
 
 def compute_infections(
@@ -114,8 +134,10 @@ def compute_infections(
         Also count events/interactions per location (costs one extra
         pass; used when fitting the dynamic load model).
     kernel:
-        ``"flat"`` (default) or ``"grouped"`` — see the module
-        docstring.  The two are bit-for-bit equivalent.
+        ``"compiled"``, ``"flat"`` or ``"grouped"`` — see the module
+        docstring; all are bit-for-bit equivalent.  ``None`` (default)
+        resolves per call to ``"compiled"`` when the C library loads
+        and to ``"flat"`` otherwise (:func:`resolve_kernel`).
 
     Notes
     -----
@@ -124,18 +146,18 @@ def compute_infections(
     infection — distributionally identical to per-pair Bernoulli trials
     and, crucially, order-independent.
     """
+    kernel = resolve_kernel(kernel)
+    if kernel not in KERNELS:
+        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     obs_span = observe.span(
-        "exposure.compute",
-        day=day,
-        kernel=DEFAULT_KERNEL if kernel is None else kernel,
-        visits=int(visit_rows.size),
+        "exposure.compute", day=day, kernel=kernel, visits=int(visit_rows.size)
     )
     with obs_span:
         result = _compute_infections(
             visit_rows, graph, health_state, disease, transmission, day,
             rng_factory, collect_stats, kernel,
         )
-        obs_span.set(infections=len(result.infections))
+        obs_span.set(infections=len(result.infections), pairs=result.pairs)
         return result
 
 
@@ -148,11 +170,8 @@ def _compute_infections(
     day: int,
     rng_factory: RngFactory,
     collect_stats: bool,
-    kernel: str | None,
+    kernel: str,
 ) -> LocationPhaseResult:
-    kernel = DEFAULT_KERNEL if kernel is None else kernel
-    if kernel not in KERNELS:
-        raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
     result = LocationPhaseResult()
     if visit_rows.size == 0:
         return result
@@ -185,7 +204,7 @@ def _compute_infections(
         "grouped": _grouped_kernel,
         "compiled": _compiled_kernel,
     }[kernel]
-    impl(
+    result.pairs = impl(
         result, cand, vp, vl, vs, vstart, vend, states, sus_mask, inf_mask,
         graph, disease, transmission, day, rng_factory, collect_stats,
     )
@@ -209,14 +228,16 @@ def _flat_kernel(
     day: int,
     rng_factory: RngFactory,
     collect_stats: bool,
-) -> None:
-    """Whole-visit-set vectorised kernel: no per-location Python loop."""
+) -> int:
+    """Whole-visit-set vectorised kernel: no per-location Python loop.
+
+    Returns the number of interacting pairs, as every kernel does."""
     idx = np.flatnonzero(cand)
     s_idx, i_idx, o_start, o_end = blocked_pairwise_exposures(
         vl[idx], vs[idx], vstart[idx], vend[idx], sus_mask[idx], inf_mask[idx]
     )
     if s_idx.size == 0:
-        return
+        return 0
     # Restore the grouped kernel's pair order (ascending susceptible
     # row, infectious rows in block order within each) so per-person
     # hazard sums accumulate in the same sequence — float addition is
@@ -254,6 +275,7 @@ def _flat_kernel(
                 person=int(persons[j]), location=int(locs[j]), minute=int(first_minute[j])
             )
         )
+    return int(s_idx.size)
 
 
 def _compiled_kernel(
@@ -273,7 +295,7 @@ def _compiled_kernel(
     day: int,
     rng_factory: RngFactory,
     collect_stats: bool,
-) -> None:
+) -> int:
     """Flat kernel with the pair stage in C (:mod:`repro.core.ckernel`).
 
     Bit-identical to ``"flat"``: the C loop adds the same doubles in
@@ -282,8 +304,6 @@ def _compiled_kernel(
     table, ``expm1`` in ``probability``, the keyed uniforms) still runs
     through the exact numpy code paths of the other kernels.
     """
-    from repro.core import ckernel
-
     idx = np.flatnonzero(cand)
     # Candidate rows are all epidemiologically relevant (sus | inf), so
     # blocked_pairwise_exposures' `relevant` filter is the identity
@@ -345,7 +365,7 @@ def _compiled_kernel(
         haz_table, n_states, total_h, first_minute, pair_count,
     )
     if pairs == 0:
-        return
+        return 0
     touched = pair_count > 0
     uniq_key, total_h = uniq_key[touched], total_h[touched]
     first_minute = first_minute[touched]
@@ -368,6 +388,7 @@ def _compiled_kernel(
                 person=int(persons[j]), location=int(locs[j]), minute=int(first_minute[j])
             )
         )
+    return pairs
 
 
 def _grouped_kernel(
@@ -387,7 +408,7 @@ def _grouped_kernel(
     day: int,
     rng_factory: RngFactory,
     collect_stats: bool,
-) -> None:
+) -> int:
     """Reference kernel: per-location loop, per-person keyed Generators."""
     idx = np.flatnonzero(cand)
     order = idx[np.argsort(vl[idx], kind="stable")]
@@ -395,6 +416,7 @@ def _grouped_kernel(
     boundaries = np.flatnonzero(np.diff(loc_sorted)) + 1
     inf_coef = disease.infectivity
     sus_coef = disease.susceptibility
+    pairs = 0
 
     for group in np.split(order, boundaries):
         loc = int(vl[group[0]])
@@ -403,6 +425,7 @@ def _grouped_kernel(
         )
         if s_idx.size == 0:
             continue
+        pairs += int(s_idx.size)
         if collect_stats:
             result.interactions[loc] += int(s_idx.size)
         g_s = group[s_idx]
@@ -426,3 +449,4 @@ def _grouped_kernel(
                 result.infections.append(
                     InfectionEvent(person=int(p), location=loc, minute=int(first_minute[j]))
                 )
+    return pairs

@@ -340,8 +340,9 @@ class ParallelEpiSimdemics:
         three (asserted by :mod:`repro.validate`).
     kernel:
         Exposure-kernel selection for the LocationManagers' interaction
-        computation (``"flat"`` / ``"grouped"``; None = the module
-        default).  Kernels are bit-for-bit equivalent — a performance
+        computation (``"compiled"`` / ``"flat"`` / ``"grouped"``; None
+        = ``"compiled"`` when the C library loads, else ``"flat"``).
+        Kernels are bit-for-bit equivalent — a performance
         choice only, like ``delivery``.
     validate:
         Attach an :class:`~repro.validate.invariants.InvariantChecker`

@@ -75,8 +75,9 @@ class SequentialSimulator:
         (needed when fitting the load model; ~15% slower).
     kernel:
         Exposure-kernel selection passed through to
-        :func:`~repro.core.exposure.compute_infections` (``"flat"`` /
-        ``"grouped"``; None = the module default).  Kernels are
+        :func:`~repro.core.exposure.compute_infections` (``"compiled"``
+        / ``"flat"`` / ``"grouped"``; None = ``"compiled"`` when the C
+        library loads, else ``"flat"``).  Kernels are
         bit-for-bit equivalent — this is a performance knob and the
         lever for old-vs-new differential testing.
     """

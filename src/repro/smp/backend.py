@@ -50,6 +50,7 @@ from multiprocessing.connection import wait as _conn_wait
 import numpy as np
 
 from repro import observe
+from repro.core import ckernel
 from repro.core.exposure import InfectionEvent
 from repro.core.interventions import DayContext
 from repro.core.metrics import EpiCurve, state_histogram
@@ -128,9 +129,9 @@ class SmpSimulator:
         :func:`~repro.smp.layout.block_partition`.
     kernel:
         Exposure kernel forwarded to
-        :func:`~repro.core.exposure.compute_infections`.  The
-        ``"compiled"`` kernel is pre-built in the driver so the forked
-        workers inherit the loaded library.
+        :func:`~repro.core.exposure.compute_infections`.  The C
+        library is loaded in the driver whenever it is available, so
+        the forked workers inherit it.
     ring_capacity / batch / burst_bytes:
         Mailbox geometry: words per SPSC ring and TRAM aggregation
         burst budget.  ``burst_bytes`` sizes bursts uniformly across
@@ -169,15 +170,13 @@ class SmpSimulator:
             burst_bytes = 2048 if batch is None else batch * 8
         if ring_capacity * 8 < burst_bytes:
             raise ValueError("ring_capacity must hold at least one burst")
-        if kernel == "compiled":
-            # Build/load before forking so every worker inherits the
-            # mapping instead of racing the first compile.
-            from repro.core import ckernel
-
-            if not ckernel.available():
-                raise RuntimeError(
-                    f"compiled kernel unavailable: {ckernel.build_error()}"
-                )
+        # Build/load the C library (the compiled kernel and the keyed
+        # draws of every kernel) before forking, so every worker
+        # inherits the mapping instead of compiling or loading it.
+        if not ckernel.available() and kernel == "compiled":
+            raise RuntimeError(
+                f"compiled kernel unavailable: {ckernel.build_error()}"
+            )
         self.scenario = scenario
         self.n_workers = n_workers
         self.plan = SmpPlan.from_partition(g, partition)

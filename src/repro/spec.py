@@ -38,6 +38,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.util.rng import check_seed
+
 __all__ = [
     "PopulationSpec",
     "PartitionSpec",
@@ -148,6 +150,7 @@ class PopulationSpec:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown population kind {self.kind!r}")
+        check_seed(self.seed)
         if self.kind in ("generated", "streamed") and self.n_persons is None:
             raise ValueError(f"kind={self.kind!r} needs n_persons")
         if self.kind == "state" and self.state is None:
@@ -315,7 +318,8 @@ class RuntimeSpec:
 
     backend: str = "seq"
     workers: int = 1
-    #: exposure kernel: flat / grouped / compiled (None = module default)
+    #: exposure kernel: flat / grouped / compiled (None = compiled when
+    #: the C library loads, else flat; resolved at run time)
     kernel: str | None = None
     #: charm message delivery: direct / aggregated / tram
     delivery: str = "aggregated"
@@ -378,6 +382,7 @@ class RunSpec:
     runtime: RuntimeSpec = field(default_factory=RuntimeSpec)
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         if self.n_days < 1:
             raise ValueError("n_days must be positive")
         if self.initial_infections < 0:

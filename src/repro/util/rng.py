@@ -5,16 +5,24 @@ whether persons are processed sequentially, by chare, or across simulated
 PEs, person ``p`` on day ``d`` must see the same draws.  We achieve this by
 deriving a child seed from ``(root_seed, *keys)`` with a stable integer
 hash; a keyed stream is the :class:`numpy.random.Generator` seeded with
-that child seed.
+that child seed.  Root seeds live in ``[0, 2**64)`` (:func:`check_seed`).
 
 Constructing a Generator costs ~16 microseconds, far more than the one
 or two draws a hot-path stream needs.  The location phase
 (:func:`keyed_uniforms`) and the person and apply phases
 (:meth:`repro.core.disease.DiseaseModel.advance_day` / ``infect``)
-therefore batch their keyed draws: :func:`derive_seeds` derives all
-seeds of a phase at once and :mod:`repro.util.pcg` replays the first
-words of every stream with array arithmetic, bit-identical to the
-Generator.  :meth:`RngFactory.stream` remains for everything else.
+therefore batch their keyed draws through :func:`keyed_words`, which
+has two bit-identical implementations:
+
+* when the on-demand C library loads (:func:`repro.core.ckernel.available`),
+  one C loop per batch runs BLAKE2b, numpy's SeedSequence and the first
+  PCG64 steps for every key row (``ckernel.keyed_words``);
+* otherwise — no C toolchain, or ``REPRO_NO_CKERNEL=1`` —
+  :func:`derive_seeds` hashes each row with :mod:`hashlib` and
+  :mod:`repro.util.pcg` replays the SeedSequence→PCG64 pipeline with
+  numpy array arithmetic.
+
+:meth:`RngFactory.stream` remains for everything else.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import numpy as np
 from repro.util.pcg import raw_outputs, word_uniforms
 
 __all__ = [
+    "check_seed",
     "derive_seed",
     "derive_seeds",
     "spawn_generator",
@@ -36,6 +45,18 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an ``int``; ``ValueError`` unless it is in ``[0, 2**64)``.
+
+    Seeds are hashed as unsigned 64-bit words, so anything outside that
+    range has no stream.
+    """
+    seed = int(seed)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 def derive_seed(root_seed: int, *keys: int) -> int:
@@ -99,15 +120,28 @@ def keyed_words(root_seed: int, n: int, *key_cols) -> np.ndarray:
 
     ``key_cols`` are integer arrays (or scalars, broadcast against the
     array columns); tuple ``j`` is ``(key_cols[0][j], key_cols[1][j],
-    ...)``.  ``out[..., k]`` is bit-identical to the ``k``-th
-    ``spawn_generator(root_seed, *tuple_j).bit_generator.random_raw()``
-    word — the same seed derivation (BLAKE2b) feeds a vectorised replay
-    of numpy's SeedSequence→PCG64 pipeline (:mod:`repro.util.pcg`)
-    instead of one Generator construction per tuple.
+    ...)``, at most 15 columns.  ``out[..., k]`` is bit-identical to the
+    ``k``-th ``spawn_generator(root_seed, *tuple_j).bit_generator.random_raw()``
+    word — the same seed derivation (BLAKE2b) and numpy's
+    SeedSequence→PCG64 pipeline, replayed in one C loop when the
+    on-demand library loads and by :func:`derive_seeds` +
+    :func:`repro.util.pcg.raw_outputs` otherwise, instead of one
+    Generator construction per tuple.
     """
+    # Imported here: repro.core imports this module (via disease).
+    from repro.core import ckernel
+
+    root_seed = check_seed(root_seed)
+    if len(key_cols) > ckernel.MAX_KEY_COLUMNS:
+        raise ValueError(
+            f"at most {ckernel.MAX_KEY_COLUMNS} key columns, got {len(key_cols)}"
+        )
     cols = np.broadcast_arrays(*[np.asarray(c, dtype=np.int64) for c in key_cols])
     keys = np.column_stack([c.ravel() for c in cols])
-    words = raw_outputs(derive_seeds(root_seed, keys), n)
+    if ckernel.available():
+        words = ckernel.keyed_words(root_seed, keys, n)
+    else:
+        words = raw_outputs(derive_seeds(root_seed, keys), n)
     return words.reshape(cols[0].shape + (n,))
 
 
@@ -156,7 +190,7 @@ class RngFactory:
     def __init__(self, root_seed: int = 0):
         if not isinstance(root_seed, (int, np.integer)):
             raise TypeError(f"root_seed must be an integer, got {type(root_seed).__name__}")
-        self.root_seed = int(root_seed)
+        self.root_seed = check_seed(root_seed)
 
     def seed(self, *keys: int) -> int:
         """Derived child seed for ``keys``."""

@@ -1,7 +1,8 @@
 """The compiled (C-via-ctypes) exposure kernel: bit-exact or absent.
 
 The ``"compiled"`` kernel replaces the flat kernel's pair
-materialisation with a streaming C loop.  Its contract has two halves:
+materialisation with a streaming C loop, and is what ``kernel=None``
+runs whenever the library loads.  Its contract has two halves:
 
 * when a C toolchain is present, it is **bit-identical** to the
   pure-numpy kernels — same events in the same order, same minutes,
@@ -24,8 +25,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro import observe
 from repro.core import Scenario, TransmissionModel, ckernel
-from repro.core.exposure import KERNELS, compute_infections
+from repro.core.exposure import KERNELS, compute_infections, resolve_kernel
 from repro.core.simulator import SequentialSimulator
 from repro.synthpop import PopulationConfig, generate_population
 from repro.util.rng import RngFactory
@@ -79,6 +81,35 @@ class TestCompiledBitExact:
         assert _infection_tuples(compiled) == _infection_tuples(flat)
         assert compiled.events == flat.events
         assert compiled.interactions == flat.interactions
+        assert compiled.pairs == flat.pairs
+
+    @given(scenarios())
+    @settings(max_examples=20, deadline=None)
+    def test_pair_counter_on_the_span_agrees_across_kernels(self, scenario):
+        g, d, state, rows = _phase_inputs(scenario)
+        f = RngFactory(scenario.seed)
+        with observe.observing() as obs:
+            for kernel in KERNELS:
+                compute_infections(
+                    rows, g, state, d, scenario.transmission, 0, f, kernel=kernel
+                )
+        spans = [s for s in obs.closed_spans() if s.name == "exposure.compute"]
+        assert [s.attrs["kernel"] for s in spans] == list(KERNELS)
+        assert len({s.attrs["pairs"] for s in spans}) == 1
+
+    def test_default_resolves_to_compiled_and_span_records_it(self):
+        assert resolve_kernel(None) == "compiled"
+        assert resolve_kernel("flat") == "flat"
+        graph = generate_population(
+            PopulationConfig(n_persons=300), 7, name="ck-default"
+        )
+        sc = Scenario(graph=graph, n_days=1, seed=2, initial_infections=6)
+        _, d, state, rows = _phase_inputs(sc)
+        with observe.observing() as obs:
+            compute_infections(rows, graph, state, d, sc.transmission, 0, sc.rng_factory)
+        (span,) = [s for s in obs.closed_spans() if s.name == "exposure.compute"]
+        assert span.attrs["kernel"] == "compiled"
+        assert span.attrs["pairs"] > 0
 
     def test_full_run_differential(self):
         from repro.validate.oracle import run_kernel_differential
@@ -135,6 +166,67 @@ def test_disabled_by_env_is_a_clean_miss():
     env = dict(os.environ, REPRO_NO_CKERNEL="1")
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_default_falls_back_to_flat_without_the_library():
+    """Under REPRO_NO_CKERNEL=1, kernel=None runs (and records) "flat"."""
+    code = (
+        "from repro import observe\n"
+        "from repro.core.exposure import resolve_kernel\n"
+        "from repro.core.simulator import SequentialSimulator\n"
+        "from repro.core import Scenario\n"
+        "from repro.synthpop import PopulationConfig, generate_population\n"
+        "assert resolve_kernel(None) == 'flat'\n"
+        "g = generate_population(PopulationConfig(n_persons=200), 3)\n"
+        "with observe.observing() as obs:\n"
+        "    SequentialSimulator(Scenario(graph=g, n_days=2, seed=1)).run()\n"
+        "kernels = {s.attrs['kernel'] for s in obs.closed_spans()\n"
+        "           if s.name == 'exposure.compute'}\n"
+        "assert kernels == {'flat'}, kernels\n"
+    )
+    env = dict(os.environ, REPRO_NO_CKERNEL="1")
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_importing_repro_neither_builds_nor_loads_the_library():
+    code = (
+        "import repro, repro.cli, repro.core.exposure, repro.smp, repro.spec\n"
+        "from repro.core import ckernel\n"
+        "assert ckernel._lib is None, ckernel._lib\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+@needs_ckernel
+@pytest.mark.parametrize("kernel", [None, "flat"])
+def test_smp_workers_inherit_the_library(kernel, tmp_path, monkeypatch):
+    """The driver loads the library before fork, whatever the kernel:
+    no forked worker compiles or dlopens it itself."""
+    from repro.smp import SmpSimulator
+
+    log = tmp_path / "loads"
+    real_compile = ckernel._compile
+
+    def logged_compile():
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_compile()
+
+    monkeypatch.setattr(ckernel, "_lib", None)
+    monkeypatch.setattr(ckernel, "_compile", logged_compile)
+    graph = generate_population(PopulationConfig(n_persons=300), 7, name="ck-smp")
+
+    def scenario():
+        return Scenario(
+            graph=graph, n_days=4, seed=2, initial_infections=6,
+            transmission=TransmissionModel(3e-4),
+        )
+
+    out = SmpSimulator(scenario(), n_workers=2, kernel=kernel).run()
+    assert log.read_text().split() == [str(os.getpid())]
+    assert out.result.curve == SequentialSimulator(scenario(), kernel="flat").run().curve
 
 
 @needs_ckernel

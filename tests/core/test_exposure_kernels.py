@@ -58,6 +58,8 @@ class TestKernelEquivalence:
         assert _infection_tuples(flat) == _infection_tuples(grouped)
         assert flat.events == grouped.events
         assert flat.interactions == grouped.interactions
+        assert flat.pairs == grouped.pairs
+        assert flat.pairs == sum(flat.interactions.values())
 
     @given(scenarios())
     @settings(max_examples=20, deadline=None)

@@ -117,6 +117,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="disease"):
             small_spec(disease="measles")
 
+    @pytest.mark.parametrize("seed", [-5, 2**64])
+    def test_seed_outside_uint64_rejected(self, seed):
+        with pytest.raises(ValueError, match=str(seed)):
+            small_spec(seed=seed)
+        with pytest.raises(ValueError, match=str(seed)):
+            PopulationSpec(n_persons=10, seed=seed)
+
 
 class TestConstructionEquivalence:
     def test_population_spec_matches_direct_generation(self):

@@ -97,6 +97,20 @@ class TestRunSpecFlow:
         assert main(["run", pop_file, "--persons", "100"]) == 2
         assert "exactly one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--persons", "2000", "--days", "3", "--seed", "-1"],
+            ["simulate", "pop.npz", "--seed", str(2**64)],
+            ["sweep", "--quick", "--master-seed", "-2"],
+        ],
+    )
+    def test_out_of_range_seed_is_a_one_line_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: --")
+        assert "2**64" in err
+
 
 class TestSweep:
     def test_quick_sweep_and_results_roundtrip(self, tmp_path, capsys):

@@ -51,6 +51,15 @@ class TestRngFactory:
         with pytest.raises(TypeError):
             RngFactory("seed")  # type: ignore[arg-type]
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**63)])
+    def test_seed_outside_uint64_rejected_at_construction(self, seed):
+        with pytest.raises(ValueError, match=str(seed)):
+            RngFactory(seed)
+
+    def test_uint64_bounds_accepted(self):
+        for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+            assert 0 <= RngFactory(seed).keyed_uniforms(1, 2)[()] < 1
+
     def test_person_stream_matches_generic(self):
         f = RngFactory(4)
         a = f.person_stream(3, 17).random()

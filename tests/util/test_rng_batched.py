@@ -3,13 +3,16 @@
 The contract under test is *bit-for-bit* equality: every element the
 vectorised pipeline (``derive_seeds`` → ``repro.util.pcg`` →
 ``keyed_uniforms``) produces must equal what a freshly constructed
-``np.random.Generator(np.random.PCG64(seed))`` would draw first.  The
+``np.random.Generator(np.random.PCG64(seed))`` would draw first, and
+the fused C path (``ckernel.keyed_words``) must equal that pipeline.  The
 golden traces and the cross-kernel differential both rest on this.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import ckernel
 from repro.util.pcg import bounded_uint32, first_uniforms, raw_outputs
 from repro.util.rng import RngFactory, derive_seed, derive_seeds, keyed_uniforms, keyed_words
 
@@ -215,3 +218,81 @@ class TestUniformsForRegression:
             [f.stream(RngFactory.PERSON, day, i, salt).random() for i in ids]
         )
         np.testing.assert_array_equal(got, expected)
+
+
+roots = st.one_of(st.sampled_from([0, 1, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1))
+key_values = st.one_of(st.sampled_from([0, -1, 2**63 - 1, -(2**63)]), i64)
+
+
+@st.composite
+def key_matrices(draw):
+    """(rows, k) int64 key matrices, 1–6 columns, extremes included."""
+    k = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(key_values, min_size=k, max_size=k), max_size=12))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), k)
+
+
+def reference_words(root, keys, n):
+    return raw_outputs(derive_seeds(root, keys), n)
+
+
+needs_ckernel = pytest.mark.skipif(
+    not ckernel.available(), reason=f"no C library: {ckernel.build_error()}"
+)
+
+
+@needs_ckernel
+class TestCompiledKeyedWords:
+    """The fused C loop vs hashlib BLAKE2b + the numpy PCG64 replay."""
+
+    @given(roots, key_matrices(), st.integers(1, 3))
+    @settings(max_examples=150)
+    def test_bit_identical_to_hashlib_path(self, root, keys, n):
+        got = ckernel.keyed_words(root, keys, n)
+        assert got.shape == (keys.shape[0], n) and got.dtype == np.uint64
+        np.testing.assert_array_equal(got, reference_words(root, keys, n))
+
+    @given(roots, key_matrices(), st.integers(1, 3))
+    @settings(max_examples=50)
+    def test_public_keyed_words_takes_the_c_path(self, root, keys, n):
+        got = keyed_words(root, n, *keys.T)
+        np.testing.assert_array_equal(got, reference_words(root, keys, n))
+
+    def test_widest_key_rows(self):
+        keys = np.random.default_rng(3).integers(
+            -(2**63), 2**63 - 1, size=(40, ckernel.MAX_KEY_COLUMNS), dtype=np.int64
+        )
+        for root in (0, 2**64 - 1):
+            np.testing.assert_array_equal(
+                ckernel.keyed_words(root, keys, 2), reference_words(root, keys, 2)
+            )
+
+    def test_empty_input(self):
+        out = ckernel.keyed_words(5, np.empty((0, 3), dtype=np.int64), 2)
+        assert out.shape == (0, 2) and out.dtype == np.uint64
+
+    def test_rejects_what_the_c_loop_cannot_take(self):
+        keys = np.zeros((2, 3), dtype=np.int64)
+        with pytest.raises(ValueError, match="k <= 15"):
+            ckernel.keyed_words(0, np.zeros((2, 16), dtype=np.int64), 1)
+        for root in (-1, 2**64):
+            with pytest.raises(ValueError, match=str(root)):
+                ckernel.keyed_words(root, keys, 1)
+
+
+class TestKeyedWordsContract:
+    """Holds on both paths (CI repeats this file with REPRO_NO_CKERNEL=1)."""
+
+    def test_empty_input(self):
+        out = keyed_words(5, 2, np.empty(0, dtype=np.int64), 1)
+        assert out.shape == (0, 2) and out.dtype == np.uint64
+
+    def test_more_than_fifteen_columns_rejected(self):
+        keyed_words(0, 1, *range(15))  # the widest accepted key
+        with pytest.raises(ValueError, match="15 key columns"):
+            keyed_words(0, 1, *range(16))
+
+    @pytest.mark.parametrize("root", [-1, 2**64])
+    def test_root_outside_uint64_rejected(self, root):
+        with pytest.raises(ValueError, match=str(root)):
+            keyed_words(root, 1, np.arange(3))
