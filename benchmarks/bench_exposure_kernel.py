@@ -82,20 +82,21 @@ def _phase_state(graph, seed=3, infected_frac=0.08):
 
 
 def time_kernel(kernel: str, graph, sc, state) -> tuple[float, list]:
-    """Best-of-REPEATS wall time for N_DAYS location phases."""
+    """Best-of-REPEATS wall time for N_DAYS location phases, and each
+    day's InfectionBatch."""
     rows = np.arange(graph.n_visits, dtype=np.int64)
     f = RngFactory(sc.seed)
     best = float("inf")
     infections = None
     for _ in range(REPEATS):
-        events = []
         t0 = time.perf_counter()
-        for day in range(N_DAYS):
-            res = compute_infections(
+        events = [
+            compute_infections(
                 rows, graph, state, sc.disease, sc.transmission, day, f,
                 kernel=kernel,
-            )
-            events.extend((day, e.person, e.location, e.minute) for e in res.infections)
+            ).infections
+            for day in range(N_DAYS)
+        ]
         best = min(best, time.perf_counter() - t0)
         infections = events
     return best, infections
@@ -118,7 +119,8 @@ def main() -> int:
     speedup = times["grouped"] / times["flat"] if times["flat"] > 0 else float("inf")
     print(f"{'kernel':>9} {'time':>10} {'infections':>11}")
     for kernel in KERNELS:
-        print(f"{kernel:>9} {times[kernel] * 1e3:>8.1f}ms {len(results[kernel]):>11}")
+        n_infections = sum(map(len, results[kernel]))
+        print(f"{kernel:>9} {times[kernel] * 1e3:>8.1f}ms {n_infections:>11}")
     print()
     print(f"speedup (grouped/flat): {speedup:.1f}x")
 

@@ -9,6 +9,8 @@ contagion simulation itself:
   simulation of arrive/depart events,
 * :mod:`repro.core.interventions` — the intervention DSL (vaccination,
   school closure, ...),
+* :mod:`repro.core.day` — the day loop's central steps, shared by
+  every execution mode,
 * :mod:`repro.core.simulator` — the sequential reference simulator
   executing the six-step per-day algorithm,
 * :mod:`repro.core.parallel` — the same algorithm as chares on the

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.metrics import EpiCurve
+from repro.core.day import SimulationResult
 from repro.core.scenario import Scenario
 from repro.core.simulator import SequentialSimulator
 
@@ -67,12 +67,13 @@ def _restore_component_states(
 def save_checkpoint(sim: SequentialSimulator, path: str | Path) -> None:
     """Write the simulator's full state to ``path`` (npz)."""
     path = Path(path)
-    curve_arrays = sim_curve(sim)
+    core = sim.core
+    curve_arrays = core.curve.as_arrays()
     states, state_arrays = _component_states(sim.scenario)
     header = {
         "format_version": _FORMAT_VERSION,
-        "day": sim.day,
-        "seeded": sim._seeded,
+        "day": core.day,
+        "seeded": core.seeded,
         "scenario_seed": sim.scenario.seed,
         "n_persons": sim.scenario.graph.n_persons,
         "graph_name": sim.scenario.graph.name,
@@ -81,26 +82,14 @@ def save_checkpoint(sim: SequentialSimulator, path: str | Path) -> None:
     np.savez_compressed(
         path,
         header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
-        health_state=sim.health_state,
-        days_remaining=sim.days_remaining,
-        treatment=sim.treatment,
-        ever_infected=sim._ever_infected,
+        health_state=core.health_state,
+        days_remaining=core.days_remaining,
+        treatment=core.treatment,
+        ever_infected=core.ever_infected,
         curve_new=curve_arrays["new_infections"],
         curve_prev=curve_arrays["prevalence"],
         **state_arrays,
     )
-
-
-def sim_curve(sim: SequentialSimulator) -> dict[str, np.ndarray]:
-    """The curve recorded so far (attached by :func:`run_with_checkpointing`
-    or reconstructed as empty when stepping manually)."""
-    curve = getattr(sim, "_checkpoint_curve", None)
-    if curve is None:
-        return {
-            "new_infections": np.empty(0, dtype=np.int64),
-            "prevalence": np.empty(0, dtype=np.float64),
-        }
-    return curve.as_arrays()
 
 
 def load_checkpoint(scenario: Scenario, path: str | Path) -> SequentialSimulator:
@@ -123,17 +112,16 @@ def load_checkpoint(scenario: Scenario, path: str | Path) -> SequentialSimulator
         if header["n_persons"] != scenario.graph.n_persons:
             raise ValueError("checkpoint population size does not match the graph")
         sim = SequentialSimulator(scenario)
-        sim.health_state[:] = data["health_state"]
-        sim.days_remaining[:] = data["days_remaining"]
-        sim.treatment[:] = data["treatment"]
-        sim._ever_infected[:] = data["ever_infected"]
-        sim.day = int(header["day"])
-        sim._seeded = bool(header["seeded"])
+        core = sim.core
+        core.health_state[:] = data["health_state"]
+        core.days_remaining[:] = data["days_remaining"]
+        core.treatment[:] = data["treatment"]
+        core.ever_infected[:] = data["ever_infected"]
+        core.day = int(header["day"])
+        core.seeded = bool(header["seeded"])
         _restore_component_states(scenario, header["interventions"], data)
-        curve = EpiCurve()
         for n, p in zip(data["curve_new"].tolist(), data["curve_prev"].tolist()):
-            curve.record_day(int(n), float(p))
-        sim._checkpoint_curve = curve
+            core.curve.record_day(int(n), float(p))
     return sim
 
 
@@ -142,29 +130,20 @@ def run_with_checkpointing(
     checkpoint_path: str | Path,
     checkpoint_every: int = 30,
     resume: bool = True,
-):
+) -> SimulationResult:
     """Run a scenario to completion, checkpointing periodically.
 
     If ``resume`` and a checkpoint exists, continues from it.  Returns
-    the same :class:`SimulationResult` an uninterrupted run produces.
+    the same curve and final state an uninterrupted run produces
+    (``days`` lists only the days run after resuming).
     """
-    from repro.core.metrics import state_histogram
-    from repro.core.simulator import SimulationResult
-
     checkpoint_path = Path(checkpoint_path)
     if resume and checkpoint_path.exists():
         sim = load_checkpoint(scenario, checkpoint_path)
-        curve = sim._checkpoint_curve
     else:
         sim = SequentialSimulator(scenario)
-        curve = EpiCurve()
-        sim._checkpoint_curve = curve
-    result = SimulationResult(curve=curve, final_histogram={})
     while sim.day < scenario.n_days:
-        day_result, _phase = sim.step_day()
-        result.days.append(day_result)
-        curve.record_day(day_result.new_infections, day_result.prevalence)
+        sim.step_day()
         if sim.day % checkpoint_every == 0 and sim.day < scenario.n_days:
             save_checkpoint(sim, checkpoint_path)
-    result.final_histogram = state_histogram(sim.health_state, scenario.disease)
-    return result
+    return sim.core.result()

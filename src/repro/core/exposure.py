@@ -29,8 +29,8 @@ Three interchangeable kernels implement the phase:
 
 ``kernel=None`` is resolved per call by :func:`resolve_kernel`, so
 nothing is compiled or loaded at import time.  All kernels produce
-bit-identical results — same infection events in the same order, same
-statistics, same pair count — which ``repro validate --diff-kernels``
+bit-identical results — the same :class:`InfectionBatch` (same events in
+the same order), same statistics, same pair count — which ``repro validate --diff-kernels``
 and the differential oracle certify; ``"flat"`` is much faster than
 ``"grouped"`` on heavy-tailed populations (see
 ``benchmarks/bench_exposure_kernel.py``) and ``"compiled"`` beats
@@ -39,7 +39,6 @@ and the differential oracle certify; ``"flat"`` is much faster than
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +54,7 @@ __all__ = [
     "KERNELS",
     "DEFAULT_KERNEL",
     "resolve_kernel",
-    "InfectionEvent",
+    "InfectionBatch",
     "LocationPhaseResult",
     "compute_infections",
 ]
@@ -78,32 +77,93 @@ def resolve_kernel(kernel: str | None) -> str:
     return "compiled" if ckernel.available() else DEFAULT_KERNEL
 
 
-@dataclass(frozen=True)
-class InfectionEvent:
-    """One successful transmission — the paper's "infect" message."""
+def _empty() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
 
-    person: int
-    location: int
-    minute: int  # earliest overlap end among the person's exposures here
+
+@dataclass(frozen=True, eq=False)
+class InfectionBatch:
+    """Successful transmissions — the paper's "infect" messages — as
+    three aligned ``int64`` columns in emission order.
+
+    >>> a = InfectionBatch.from_records([[3, 1, 100]])
+    >>> b = InfectionBatch.concat([a, InfectionBatch.from_records([[5, 1, 120]])])
+    >>> len(b), b.person.tolist(), b.records().shape
+    (2, [3, 5], (2, 3))
+    """
+
+    person: np.ndarray = field(default_factory=_empty)
+    location: np.ndarray = field(default_factory=_empty)
+    #: earliest overlap end among the person's exposures at the location
+    minute: np.ndarray = field(default_factory=_empty)
+
+    def __len__(self) -> int:
+        return int(self.person.size)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, InfectionBatch):
+            return NotImplemented
+        return all(
+            np.array_equal(a, b)
+            for a, b in zip(
+                (self.person, self.location, self.minute),
+                (other.person, other.location, other.minute),
+            )
+        )
+
+    def records(self) -> np.ndarray:
+        """One ``(person, location, minute)`` row per event (the smp
+        wire layout)."""
+        return np.column_stack((self.person, self.location, self.minute))
+
+    @classmethod
+    def from_records(cls, records) -> "InfectionBatch":
+        rows = np.asarray(records, dtype=np.int64).reshape(-1, 3)
+        return cls(rows[:, 0], rows[:, 1], rows[:, 2])
+
+    @classmethod
+    def concat(cls, batches: list["InfectionBatch"]) -> "InfectionBatch":
+        return cls(
+            np.concatenate([b.person for b in batches]),
+            np.concatenate([b.location for b in batches]),
+            np.concatenate([b.minute for b in batches]),
+        )
 
 
 @dataclass
 class LocationPhaseResult:
-    """Infections plus the dynamic-load statistics of the phase."""
+    """Infections plus the dynamic-load statistics of the phase.
 
-    infections: list[InfectionEvent] = field(default_factory=list)
-    #: per-location event counts (2 × processed visits), keyed by location id
-    events: Counter = field(default_factory=Counter)
-    #: per-location S×I interaction counts
-    interactions: Counter = field(default_factory=Counter)
+    With statistics collected, ``locations`` holds the sorted ids of
+    the locations visited in this call and ``events`` /
+    ``interactions`` their counts, aligned with it; without, all three
+    are empty.
+    """
+
+    infections: InfectionBatch = field(default_factory=InfectionBatch)
+    locations: np.ndarray = field(default_factory=_empty)
+    #: DES event counts (2 × processed visits) per ``locations`` entry
+    events: np.ndarray = field(default_factory=_empty)
+    #: S×I interaction counts per ``locations`` entry
+    interactions: np.ndarray = field(default_factory=_empty)
     #: interacting S×I visit pairs (positive overlap), every kernel
     pairs: int = 0
 
     def merge(self, other: "LocationPhaseResult") -> None:
-        self.infections.extend(other.infections)
-        self.events.update(other.events)
-        self.interactions.update(other.interactions)
+        self.infections = InfectionBatch.concat([self.infections, other.infections])
+        self.locations, inv = np.unique(
+            np.concatenate([self.locations, other.locations]), return_inverse=True
+        )
+        for name in ("events", "interactions"):
+            summed = np.zeros(self.locations.size, dtype=np.int64)
+            np.add.at(
+                summed, inv, np.concatenate([getattr(self, name), getattr(other, name)])
+            )
+            setattr(self, name, summed)
         self.pairs += other.pairs
+
+    def _add_interactions(self, locations: np.ndarray, counts: np.ndarray) -> None:
+        self.interactions[np.searchsorted(self.locations, locations)] += counts
 
 
 def compute_infections(
@@ -185,8 +245,10 @@ def _compute_infections(
     inf_mask = disease.is_infectious[states]
 
     if collect_stats:
-        locs, counts = np.unique(vl, return_counts=True)
-        result.events.update({int(l): int(2 * c) for l, c in zip(locs, counts)})
+        locations, counts = np.unique(vl, return_counts=True)
+        result.locations = locations.astype(np.int64, copy=False)
+        result.events = 2 * counts.astype(np.int64)
+        result.interactions = np.zeros(counts.size, dtype=np.int64)
 
     # Only locations with at least one infectious *and* one susceptible
     # visit can transmit; restrict the expensive pass to those.
@@ -248,10 +310,7 @@ def _flat_kernel(
     overlap = (o_end - o_start[order]).astype(np.float64)
 
     if collect_stats:
-        pair_locs, pair_counts = np.unique(vl[idx[s_idx]], return_counts=True)
-        result.interactions.update(
-            {int(l): int(c) for l, c in zip(pair_locs, pair_counts)}
-        )
+        result._add_interactions(*np.unique(vl[idx[s_idx]], return_counts=True))
 
     hazards = transmission.hazard(
         overlap,
@@ -269,12 +328,8 @@ def _flat_kernel(
     locs = uniq_key // graph.n_persons
     persons = uniq_key - locs * graph.n_persons
     u = rng_factory.keyed_uniforms(RngFactory.LOCATION, day, locs, persons)
-    for j in np.flatnonzero(u < probs):
-        result.infections.append(
-            InfectionEvent(
-                person=int(persons[j]), location=int(locs[j]), minute=int(first_minute[j])
-            )
-        )
+    hit = u < probs
+    result.infections = InfectionBatch(persons[hit], locs[hit], first_minute[hit])
     return int(s_idx.size)
 
 
@@ -374,20 +429,13 @@ def _compiled_kernel(
     persons = uniq_key - locs * graph.n_persons
     if collect_stats:
         pair_locs, inv_loc = np.unique(locs, return_inverse=True)
-        per_loc = np.bincount(
-            inv_loc, weights=pair_count[touched], minlength=pair_locs.size
-        )
-        result.interactions.update(
-            {int(l): int(c) for l, c in zip(pair_locs, per_loc)}
-        )
+        per_loc = np.zeros(pair_locs.size, dtype=np.int64)
+        np.add.at(per_loc, inv_loc, pair_count[touched])
+        result._add_interactions(pair_locs, per_loc)
     probs = transmission.probability(total_h)
     u = rng_factory.keyed_uniforms(RngFactory.LOCATION, day, locs, persons)
-    for j in np.flatnonzero(u < probs):
-        result.infections.append(
-            InfectionEvent(
-                person=int(persons[j]), location=int(locs[j]), minute=int(first_minute[j])
-            )
-        )
+    hit = u < probs
+    result.infections = InfectionBatch(persons[hit], locs[hit], first_minute[hit])
     return pairs
 
 
@@ -417,6 +465,7 @@ def _grouped_kernel(
     inf_coef = disease.infectivity
     sus_coef = disease.susceptibility
     pairs = 0
+    batches: list[InfectionBatch] = []
 
     for group in np.split(order, boundaries):
         loc = int(vl[group[0]])
@@ -427,7 +476,7 @@ def _grouped_kernel(
             continue
         pairs += int(s_idx.size)
         if collect_stats:
-            result.interactions[loc] += int(s_idx.size)
+            result._add_interactions(loc, s_idx.size)
         g_s = group[s_idx]
         g_i = group[i_idx]
         hazards = transmission.hazard(
@@ -443,10 +492,16 @@ def _grouped_kernel(
         first_minute = np.full(uniq_p.size, np.iinfo(np.int64).max)
         np.minimum.at(first_minute, inv, o_end)
         probs = transmission.probability(total_h)
-        for j, p in enumerate(uniq_p):
-            u = rng_factory.stream(RngFactory.LOCATION, day, loc, int(p)).random()
-            if u < probs[j]:
-                result.infections.append(
-                    InfectionEvent(person=int(p), location=loc, minute=int(first_minute[j]))
-                )
+        u = np.array([
+            rng_factory.stream(RngFactory.LOCATION, day, loc, int(p)).random()
+            for p in uniq_p
+        ])
+        hit = u < probs
+        batches.append(InfectionBatch(
+            uniq_p[hit].astype(np.int64),
+            np.full(int(hit.sum()), loc, dtype=np.int64),
+            first_minute[hit],
+        ))
+    if batches:
+        result.infections = InfectionBatch.concat(batches)
     return pairs

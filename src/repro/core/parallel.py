@@ -37,12 +37,9 @@ from repro.charm.machine import Machine, MachineConfig
 from repro.charm.messages import INFECT_BYTES, VISIT_BYTES
 from repro.charm.network import NetworkModel
 from repro.charm.scheduler import RuntimeSimulator
-from repro.core.disease import UNTREATED
+from repro.core.day import DayCore, PhaseTimes, SimulationResult
 from repro.core.exposure import compute_infections
-from repro.core.interventions import DayContext
-from repro.core.metrics import EpiCurve, state_histogram
 from repro.core.scenario import Scenario
-from repro.core.simulator import DayResult, SimulationResult
 from repro.loadmodel.dynamic import DynamicLoadModel
 from repro.loadmodel.static import PAPER_STATIC_MODEL, PiecewiseLoadModel
 from repro.partition.quality import BipartitePartition
@@ -116,29 +113,6 @@ class Distribution:
 
 
 @dataclass
-class PhaseTimes:
-    """Virtual-time stamps of one day's phase boundaries."""
-
-    day: int
-    start: float
-    visits_done: float
-    locations_done: float
-    day_done: float
-
-    @property
-    def person_phase(self) -> float:
-        return self.visits_done - self.start
-
-    @property
-    def location_phase(self) -> float:
-        return self.locations_done - self.visits_done
-
-    @property
-    def total(self) -> float:
-        return self.day_done - self.start
-
-
-@dataclass
 class ParallelResult:
     """Epidemic output + virtual timing of a parallel run."""
 
@@ -175,9 +149,13 @@ class _PersonManager(Chare):
             cost.person_health_cost * self.persons.size
             + cost.transition_cost * changed.size
         )
-        keep = sim.scenario.interventions.visit_mask(sim.day_ctx, self.rows)
+        keep = sim.scenario.interventions.visit_mask(sim.core.ctx, self.rows)
         rows = self.rows[keep]
         self.charge(cost.visit_compute_cost * rows.size)
+        # The day's DayResult totals, tallied outside the runtime model:
+        # no message, reduction or charged cost.
+        sim.transitions_today += int(changed.size)
+        sim.visits_today += int(rows.size)
         if sim.checker is not None:
             sim.checker.record_visits_sent(rows)
         lm_of = sim.distribution.location_chare
@@ -224,36 +202,34 @@ class _LocationManager(Chare):
 
     def location_phase(self, day: int) -> None:
         sim = self.sim
-        rows = np.asarray(sorted(self.buffered_rows), dtype=np.int64)
+        rows = np.sort(np.asarray(self.buffered_rows, dtype=np.int64))
         self.buffered_rows = []
         phase = compute_infections(
             rows, sim.graph, sim.health_state, sim.scenario.disease,
             sim.scenario.transmission, day, sim.rng_factory, collect_stats=True,
             kernel=sim.kernel,
         )
+        infections = phase.infections
         if sim.checker is not None:
-            sim.checker.record_infections(day, phase.infections)
-        # Feed the predictive load balancer's application-specific view.
-        for loc, inter in phase.interactions.items():
-            sim.last_interactions[loc] = inter
-        static = sim.costs.location_static
-        dynamic = sim.costs.location_dynamic
-        compute = 0.0
-        for loc, events in phase.events.items():
-            inter = phase.interactions.get(loc, 0)
-            compute += float(static.evaluate(float(events))) + float(
-                dynamic.evaluate(events, inter)
-            )
-        self.charge(compute)
+            sim.checker.record_infections(day, infections)
+        # Feed the predictive load balancer's application-specific view
+        # (a location keeps its last day with interactions).
+        hit = phase.interactions > 0
+        sim.last_interactions[phase.locations[hit]] = phase.interactions[hit]
+        # Per-location static + dynamic cost, summed in location order
+        # (cumsum adds sequentially, like a scalar loop would).
+        per_loc = sim.costs.location_static.evaluate(
+            phase.events.astype(np.float64)
+        ) + sim.costs.location_dynamic.evaluate(phase.events, phase.interactions)
+        self.charge(float(np.cumsum(per_loc)[-1]) if per_loc.size else 0.0)
         det = sim.infect_detector
-        pm_of = sim.distribution.person_chare
         pm_name = sim.name("pm")
-        for ev in phase.infections:
+        dests = sim.distribution.person_chare[infections.person]
+        for dst, person, minute in zip(
+            dests.tolist(), infections.person.tolist(), infections.minute.tolist()
+        ):
             det.produce()
-            self.send(
-                pm_name, int(pm_of[ev.person]), "recv_infect",
-                (ev.person, ev.minute), INFECT_BYTES,
-            )
+            self.send(pm_name, dst, "recv_infect", (person, minute), INFECT_BYTES)
         det.producer_done()
 
 
@@ -369,16 +345,10 @@ class ParallelEpiSimdemics:
     namespace:
         Prefix applied to every array/channel/detector name this
         simulation creates on the runtime.
-    backend:
-        ``"charm"`` (default) simulates the chare runtime in virtual
-        time; ``"smp"`` executes the same decomposition on real OS
-        processes over shared memory
-        (:class:`~repro.smp.SmpSimulator` — one worker per chare
-        pair, i.e. ``distribution.n_pm`` workers).  The epidemic is
-        bit-identical either way; with ``"smp"``, :meth:`run` returns
-        an :class:`~repro.smp.SmpResult` whose phase times are
-        *measured* wall-clock seconds instead of modelled virtual
-        time.
+
+    The central steps and the population arrays live on :attr:`core`
+    (a :class:`~repro.core.day.DayCore`); the real-process execution
+    of the same decomposition is :class:`~repro.smp.SmpSimulator`.
     """
 
     def __init__(
@@ -398,38 +368,9 @@ class ParallelEpiSimdemics:
         namespace: str = "",
         kernel: str | None = None,
         validate: bool = False,
-        backend: str = "charm",
     ):
         from repro.core.exposure import KERNELS
 
-        if backend not in ("charm", "smp"):
-            raise ValueError("backend must be 'charm' or 'smp'")
-        self.backend = backend
-        if backend == "smp":
-            if distribution.n_pm != distribution.n_lm:
-                raise ValueError(
-                    "backend='smp' needs matching PM/LM counts "
-                    "(one worker runs one PM and one LM)"
-                )
-            from repro.partition.quality import BipartitePartition
-            from repro.smp import SmpSimulator
-
-            self.scenario = scenario
-            self.graph = scenario.graph
-            self.distribution = distribution
-            self.kernel = kernel
-            self._smp = SmpSimulator(
-                scenario,
-                n_workers=distribution.n_pm,
-                partition=BipartitePartition(
-                    person_part=distribution.person_chare,
-                    location_part=distribution.location_chare,
-                    k=distribution.n_pm,
-                    method=distribution.method,
-                ),
-                kernel=kernel,
-            )
-            return
         if sync not in ("cd", "qd"):
             raise ValueError("sync must be 'cd' or 'qd'")
         if delivery not in ("aggregated", "direct", "tram"):
@@ -453,7 +394,11 @@ class ParallelEpiSimdemics:
             else RuntimeSimulator(machine, network, validate=validate)
         )
         self.runtime.ensure_pe_agents()
-        scenario.interventions.reset()
+        self.core = core = DayCore(scenario)
+        self.health_state = core.health_state
+        self.days_remaining = core.days_remaining
+        self.treatment = core.treatment
+        self.ever_infected = core.ever_infected
         if validate:
             from repro.validate.invariants import InvariantChecker
 
@@ -469,25 +414,17 @@ class ParallelEpiSimdemics:
         else:
             self.checker = None
 
-        d = scenario.disease
         g = self.graph
-        self.health_state, self.days_remaining = d.initial_health(g.n_persons)
-        self.treatment = np.full(g.n_persons, UNTREATED, dtype=np.int32)
-        self.ever_infected = np.zeros(g.n_persons, dtype=bool)
-        self.day = 0
-        self.day_ctx: DayContext | None = None
-        self._seeded = False
-        self._seeded_count = 0
-        self.curve = EpiCurve()
         self.phase_times: list[PhaseTimes] = []
-        self.day_results: list[DayResult] = []
-        self._visits_today = 0
+        self.visits_today = 0
+        self.transitions_today = 0
         self.lb_period = lb_period
         self.lb_strategy = lb_strategy
         self.migration_model = migration_model or MigrationCostModel()
         self.lb_steps = 0
         self.lb_moves = 0
-        self.last_interactions: dict[int, int] = {}
+        #: per location, the S×I interactions of its last day with any
+        self.last_interactions = np.zeros(g.n_locations, dtype=np.int64)
         self._cost_snapshot: dict[tuple[str, int], float] = {}
 
         # Pre-compute per-chare object lists.
@@ -572,45 +509,23 @@ class ParallelEpiSimdemics:
         """Namespaced runtime identifier for this simulation's objects."""
         return self.namespace + base
 
+    @property
+    def day(self) -> int:
+        """The day in progress (the next one once a day has finished)."""
+        return self.core.day
+
+    @property
+    def curve(self):
+        """The epidemic curve recorded so far."""
+        return self.core.curve
+
     # ------------------------------------------------------------------
     def prepare_day(self, day: int) -> None:
         """Central start-of-day work: seeding, treatments, day context."""
-        sc = self.scenario
-        d = sc.disease
-        if not self._seeded:
-            cases = sc.index_cases()
-            infected = d.infect(
-                cases, self.health_state, self.days_remaining, self.treatment,
-                day=-1, rng_factory=self.rng_factory,
-            )
-            self.ever_infected[infected] = True
-            self._seeded_count = int(infected.size)
-            self._seeded = True
-        self.day_ctx = DayContext(
-            day=day,
-            graph=self.graph,
-            disease=d,
-            health_state=self.health_state,
-            treatment=self.treatment,
-            prevalence=self._prevalence(),
-            cumulative_attack=float(self.ever_infected.mean()),
-            rng_factory=self.rng_factory,
-            days_remaining=self.days_remaining,
-        )
-        sc.interventions.update_treatments(self.day_ctx)
+        self.core.begin_day()
+        self.visits_today = self.transitions_today = 0
         if self.checker is not None:
             self.checker.begin_day(day, self.health_state)
-
-    def _prevalence(self) -> float:
-        d = self.scenario.disease
-        if not hasattr(self, "_terminal_states"):
-            self._terminal_states = np.array(
-                [s.dwell.kind.name == "FOREVER" and not s.is_infectious
-                 for s in d.states]
-            )
-        now = self.ever_infected & (self.health_state != d.susceptible_index)
-        now &= ~self._terminal_states[self.health_state]
-        return float(now.sum()) / max(1, self.graph.n_persons)
 
     def maybe_rebalance(self, day: int) -> float:
         """Run an LB step if due; return its virtual-time cost (0 if not).
@@ -630,10 +545,9 @@ class ParallelEpiSimdemics:
             # fed with the interactions just observed.
             events = 2.0 * self.graph.location_visit_counts.astype(np.float64)
             static = np.asarray(self.costs.location_static.evaluate(events))
-            inter = np.zeros(self.graph.n_locations)
-            for loc, v in self.last_interactions.items():
-                inter[loc] = v
-            dynamic = np.asarray(self.costs.location_dynamic.evaluate(events, inter))
+            dynamic = np.asarray(
+                self.costs.location_dynamic.evaluate(events, self.last_interactions)
+            )
             per_loc = static + dynamic
             costs = np.zeros(n_lm)
             np.add.at(costs, self.distribution.location_chare, per_loc)
@@ -657,25 +571,12 @@ class ParallelEpiSimdemics:
 
     def finish_day(self, new_infections: int, times: PhaseTimes) -> None:
         """Called by the driver when a day's reduction arrives."""
-        total_new = new_infections + (self._seeded_count if self.day == 0 else 0)
-        # Post-apply hook: same algorithmic point as the sequential
-        # simulator (after the apply phase, before prevalence).
-        self.scenario.interventions.post_apply(self.day_ctx)
-        prev = self._prevalence()
-        self.curve.record_day(total_new, prev)
-        if self.checker is not None:
-            self.checker.end_day(self.day, self.health_state, self.ever_infected, self.curve)
-        self.day_results.append(
-            DayResult(
-                day=self.day,
-                visits_made=0,  # filled per-PM; aggregate not tracked here
-                new_infections=total_new,
-                transitions=0,
-                prevalence=prev,
-            )
+        done = self.core.end_day(
+            new_infections, self.visits_today, self.transitions_today
         )
+        if self.checker is not None:
+            self.checker.end_day(done.day, self.health_state, self.ever_infected, self.curve)
         self.phase_times.append(times)
-        self.day += 1
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -684,13 +585,8 @@ class ParallelEpiSimdemics:
 
     def collect(self) -> ParallelResult:
         """Assemble the result after the runtime has drained."""
-        result = SimulationResult(
-            curve=self.curve,
-            final_histogram=state_histogram(self.health_state, self.scenario.disease),
-            days=self.day_results,
-        )
         return ParallelResult(
-            result=result,
+            result=self.core.result(),
             phase_times=self.phase_times,
             total_virtual_time=self.runtime.current_time,
             runtime_stats=self.runtime.stats_summary(),
@@ -705,13 +601,7 @@ class ParallelEpiSimdemics:
         executions are ingested as virtual spans — the Projections-style
         per-PE timeline view.  Tracing draws no random numbers, so the
         epidemic is bit-identical with or without it.
-
-        With ``backend="smp"`` the run instead executes on real worker
-        processes and returns an :class:`~repro.smp.SmpResult` (same
-        ``.result`` payload; measured wall-clock phase times).
         """
-        if self.backend == "smp":
-            return self._smp.run()
         obs = observe.active()
         tracer = None
         if obs is not None:

@@ -21,46 +21,14 @@ us run steps 1/3/5 as whole-population vectorised passes.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro import observe
-from repro.core.disease import UNTREATED
+from repro.core.day import DayCore, DayResult, SimulationResult
 from repro.core.exposure import LocationPhaseResult, compute_infections
-from repro.core.interventions import DayContext
-from repro.core.metrics import EpiCurve, state_histogram
 from repro.core.scenario import Scenario
 
 __all__ = ["DayResult", "SimulationResult", "SequentialSimulator"]
-
-
-@dataclass
-class DayResult:
-    """What one simulated day produced."""
-
-    day: int
-    visits_made: int
-    new_infections: int
-    transitions: int
-    prevalence: float
-
-
-@dataclass
-class SimulationResult:
-    """Full-run output: the epidemic curve plus final state."""
-
-    curve: EpiCurve
-    final_histogram: dict[str, int]
-    days: list[DayResult] = field(default_factory=list)
-    #: summed per-location DES statistics (when stats collection is on)
-    location_events: Counter = field(default_factory=Counter)
-    location_interactions: Counter = field(default_factory=Counter)
-
-    @property
-    def total_infections(self) -> int:
-        return self.curve.cumulative_infections[-1] if self.curve.n_days else 0
 
 
 class SequentialSimulator:
@@ -80,6 +48,9 @@ class SequentialSimulator:
         library loads, else ``"flat"``).  Kernels are
         bit-for-bit equivalent — this is a performance knob and the
         lever for old-vs-new differential testing.
+
+    The central steps and the run's state live on :attr:`core`
+    (a :class:`~repro.core.day.DayCore`).
     """
 
     def __init__(
@@ -91,16 +62,11 @@ class SequentialSimulator:
         self.scenario = scenario
         self.collect_location_stats = collect_location_stats
         self.kernel = kernel
-        g = scenario.graph
         self.rng_factory = scenario.rng_factory
-        self.health_state, self.days_remaining = scenario.disease.initial_health(g.n_persons)
-        self.treatment = np.full(g.n_persons, UNTREATED, dtype=np.int32)
-        self._ever_infected = np.zeros(g.n_persons, dtype=bool)
-        self.day = 0
-        self._seeded = False
-        # Interventions/components hold per-run trigger state; clearing
-        # it here makes one Scenario object reusable across runs.
-        scenario.interventions.reset()
+        self.core = DayCore(scenario, collect_stats=collect_location_stats)
+        self.health_state = self.core.health_state
+        self.days_remaining = self.core.days_remaining
+        self.treatment = self.core.treatment
 
     @classmethod
     def from_spec(
@@ -114,31 +80,10 @@ class SequentialSimulator:
             kernel=spec.runtime.kernel,
         )
 
-    # ------------------------------------------------------------------
-    def _seed_index_cases(self) -> int:
-        cases = self.scenario.index_cases()
-        infected = self.scenario.disease.infect(
-            cases, self.health_state, self.days_remaining, self.treatment,
-            day=-1, rng_factory=self.rng_factory,
-        )
-        self._ever_infected[infected] = True
-        return int(infected.size)
-
-    def _prevalence(self) -> float:
-        # "currently infected" = ever infected, not susceptible anymore,
-        # and not yet settled into a terminal (absorbing, inert) state.
-        d = self.scenario.disease
-        if not hasattr(self, "_terminal_states"):
-            # Non-infectious absorbing states are terminal even when
-            # partially susceptible (e.g. a cross-immune recovered
-            # state): the person is not "currently infected" anymore.
-            self._terminal_states = np.array(
-                [s.dwell.kind.name == "FOREVER" and not s.is_infectious
-                 for s in d.states]
-            )
-        infected_now = self._ever_infected & (self.health_state != d.susceptible_index)
-        infected_now &= ~self._terminal_states[self.health_state]
-        return float(infected_now.sum()) / max(1, self.scenario.graph.n_persons)
+    @property
+    def day(self) -> int:
+        """The next day to simulate."""
+        return self.core.day
 
     # ------------------------------------------------------------------
     def step_day(self) -> tuple[DayResult, "LocationPhaseResult"]:
@@ -148,30 +93,10 @@ class SequentialSimulator:
 
     def _step_day(self) -> tuple[DayResult, "LocationPhaseResult"]:
         sc = self.scenario
-        g = sc.graph
         d = sc.disease
-        day = self.day
-
-        seeded = 0
-        if not self._seeded:
-            seeded = self._seed_index_cases()
-            self._seeded = True
-
-        # Day context uses start-of-day (pre-transition) prevalence so
-        # central intervention decisions are identical in every
-        # execution mode.
-        ctx = DayContext(
-            day=day,
-            graph=g,
-            disease=d,
-            health_state=self.health_state,
-            treatment=self.treatment,
-            prevalence=self._prevalence(),
-            cumulative_attack=float(self._ever_infected.mean()),
-            rng_factory=self.rng_factory,
-            days_remaining=self.days_remaining,
-        )
-        sc.interventions.update_treatments(ctx)
+        core = self.core
+        day = core.day
+        ctx = core.begin_day()
 
         # Step 1a: recalculate health state (PTTS dwell expirations).
         transitions = d.advance_day(
@@ -186,7 +111,7 @@ class SequentialSimulator:
         # parallel runtime runs real completion-detection protocols).
         phase = compute_infections(
             visit_rows,
-            g,
+            sc.graph,
             self.health_state,
             d,
             sc.transmission,
@@ -195,41 +120,23 @@ class SequentialSimulator:
             collect_stats=self.collect_location_stats,
             kernel=self.kernel,
         )
+        if self.collect_location_stats:
+            core.add_location_stats(phase.locations, phase.events, phase.interactions)
 
         # Step 5: apply infect messages.
-        new_persons = np.asarray([ev.person for ev in phase.infections], dtype=np.int64)
         infected = d.infect(
-            new_persons, self.health_state, self.days_remaining, self.treatment,
-            day=day, rng_factory=self.rng_factory,
+            phase.infections.person, self.health_state, self.days_remaining,
+            self.treatment, day=day, rng_factory=self.rng_factory,
         )
-        self._ever_infected[infected] = True
+        core.ever_infected[infected] = True
 
-        # Post-apply hook: components edit state centrally, after the
-        # day's infections are in, before prevalence is recorded.  The
-        # parallel backends run this at the same algorithmic point.
-        sc.interventions.post_apply(ctx)
-
-        self.day += 1
-        return DayResult(
-            day=day,
-            visits_made=int(visit_rows.size),
-            new_infections=int(infected.size) + seeded,
-            transitions=int(transitions.size),
-            prevalence=self._prevalence(),
-        ), phase
+        # Step 6: central post-apply, prevalence and the curve.
+        return core.end_day(infected.size, visit_rows.size, transitions.size), phase
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
-        """Run all scenario days; return the aggregated result."""
+        """Run the remaining scenario days; return the aggregated result."""
         with observe.span("sequential.run", days=self.scenario.n_days):
-            curve = EpiCurve()
-            result = SimulationResult(curve=curve, final_histogram={})
-            for _ in range(self.scenario.n_days):
-                day_result, phase = self.step_day()
-                result.days.append(day_result)
-                curve.record_day(day_result.new_infections, day_result.prevalence)
-                if self.collect_location_stats:
-                    result.location_events.update(phase.events)
-                    result.location_interactions.update(phase.interactions)
-            result.final_histogram = state_histogram(self.health_state, self.scenario.disease)
-            return result
+            while self.day < self.scenario.n_days:
+                self.step_day()
+            return self.core.result()

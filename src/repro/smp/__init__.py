@@ -14,8 +14,8 @@ Entry points:
 
 * :class:`~repro.smp.backend.SmpSimulator` — run a scenario on N
   worker processes (``SmpSimulator(sc, n_workers=4).run()``);
-* ``ParallelEpiSimdemics(..., backend="smp")`` / ``repro run
-  --backend smp --workers N`` — the integrated surfaces;
+* ``repro run --backend smp --workers N`` and
+  ``RuntimeSpec(backend="smp")`` — the integrated surfaces;
 * :func:`~repro.validate.oracle.run_smp_matrix` — certify
   bit-exactness against :class:`~repro.core.simulator.
   SequentialSimulator`;
@@ -23,7 +23,7 @@ Entry points:
   (writes ``BENCH_smp.json``).
 """
 
-from repro.smp.backend import SmpPhaseTimes, SmpResult, SmpSimulator, SmpWorkerError
+from repro.smp.backend import SmpResult, SmpSimulator, SmpWorkerError
 from repro.smp.completion import PhaseTimeout, ShmPhaseDetector
 from repro.smp.layout import SmpPlan, block_partition, build_shared_state
 from repro.smp.presets import heavy_tailed_graph
@@ -33,7 +33,6 @@ from repro.smp.shm import SharedArena
 __all__ = [
     "SmpSimulator",
     "SmpResult",
-    "SmpPhaseTimes",
     "SmpWorkerError",
     "ShmPhaseDetector",
     "PhaseTimeout",

@@ -6,9 +6,10 @@ it lays the population state out in shared memory
 :func:`~repro.smp.worker.worker_main`, and then orchestrates days —
 everything the sequential simulator does *centrally* (index-case
 seeding, intervention treatment updates, prevalence bookkeeping) stays
-on the driver, in exactly the sequential order, while the person /
-location / apply phases execute in parallel on the workers with visit
-and infect traffic crossing PE boundaries through shared ring buffers.
+on the driver, run by the same :class:`~repro.core.day.DayCore` over
+the shared-memory arrays, while the person / location / apply phases
+execute in parallel on the workers with visit and infect traffic
+crossing PE boundaries through shared ring buffers.
 
 The result is **bit-identical** to
 :class:`~repro.core.simulator.SequentialSimulator` (same infection
@@ -51,17 +52,16 @@ import numpy as np
 
 from repro import observe
 from repro.core import ckernel
-from repro.core.exposure import InfectionEvent
-from repro.core.interventions import DayContext
-from repro.core.metrics import EpiCurve, state_histogram
+from repro.core.day import DayCore, PhaseTimes, SimulationResult
+from repro.core.exposure import InfectionBatch
 from repro.core.scenario import Scenario
-from repro.core.simulator import DayResult, SimulationResult
 from repro.partition.quality import BipartitePartition
 from repro.smp import protocol
 from repro.smp.layout import SmpPlan, block_partition, build_shared_state
+from repro.smp.ring import DEFAULT_BURST_BYTES
 from repro.smp.worker import WorkerContext, worker_main
 
-__all__ = ["SmpSimulator", "SmpResult", "SmpPhaseTimes", "SmpWorkerError"]
+__all__ = ["SmpSimulator", "SmpResult", "SmpWorkerError"]
 
 
 class SmpWorkerError(RuntimeError):
@@ -69,39 +69,18 @@ class SmpWorkerError(RuntimeError):
 
 
 @dataclass
-class SmpPhaseTimes:
-    """Measured wall-clock phase boundaries of one day (seconds from
-    the run origin; each boundary is the *last* worker's crossing)."""
-
-    day: int
-    start: float
-    visits_done: float
-    locations_done: float
-    day_done: float
-
-    @property
-    def person_phase(self) -> float:
-        return self.visits_done - self.start
-
-    @property
-    def location_phase(self) -> float:
-        return self.locations_done - self.visits_done
-
-    @property
-    def total(self) -> float:
-        return self.day_done - self.start
-
-
-@dataclass
 class SmpResult:
     """Full output of one SMP run."""
 
-    result: SimulationResult
+    #: set when the run completes
+    result: SimulationResult | None
     n_workers: int
     wall_seconds: float
-    phase_times: list[SmpPhaseTimes] = field(default_factory=list)
-    #: per-day infection events, as the oracle diffs them
-    infection_log: dict[int, list[InfectionEvent]] = field(default_factory=dict)
+    #: measured wall-clock phase boundaries, seconds from the run origin
+    phase_times: list[PhaseTimes] = field(default_factory=list)
+    #: per-day applied infection events in worker-rank order, as the
+    #: oracle diffs them
+    infection_log: dict[int, InfectionBatch] = field(default_factory=dict)
     final_health_state: np.ndarray | None = None
     final_days_remaining: np.ndarray | None = None
     #: total ring-full stalls across workers and days
@@ -132,11 +111,10 @@ class SmpSimulator:
         :func:`~repro.core.exposure.compute_infections`.  The C
         library is loaded in the driver whenever it is available, so
         the forked workers inherit it.
-    ring_capacity / batch / burst_bytes:
-        Mailbox geometry: words per SPSC ring and TRAM aggregation
-        burst budget.  ``burst_bytes`` sizes bursts uniformly across
-        record widths; ``batch`` (words) is the legacy spelling
-        (``batch * 8`` bytes).
+    ring_capacity / burst_bytes:
+        Mailbox geometry: words per SPSC ring and the TRAM aggregation
+        burst budget in bytes (sizes bursts uniformly across record
+        widths; None = :data:`~repro.smp.ring.DEFAULT_BURST_BYTES`).
     timeout:
         Per-phase completion deadline inside workers (a hang breaker;
         generous because CI machines can be one-core).
@@ -149,7 +127,6 @@ class SmpSimulator:
         partition: BipartitePartition | None = None,
         kernel: str | None = None,
         ring_capacity: int = 8192,
-        batch: int | None = None,
         burst_bytes: int | None = None,
         collect_location_stats: bool = False,
         timeout: float | None = 120.0,
@@ -164,10 +141,8 @@ class SmpSimulator:
             raise ValueError(
                 f"partition has k={partition.k} but n_workers={n_workers}"
             )
-        if batch is not None and burst_bytes is not None:
-            raise ValueError("give batch (words) or burst_bytes, not both")
         if burst_bytes is None:
-            burst_bytes = 2048 if batch is None else batch * 8
+            burst_bytes = DEFAULT_BURST_BYTES
         if ring_capacity * 8 < burst_bytes:
             raise ValueError("ring_capacity must hold at least one burst")
         # Build/load the C library (the compiled kernel and the keyed
@@ -186,17 +161,6 @@ class SmpSimulator:
         self.collect_location_stats = collect_location_stats
         self.timeout = timeout
         self._fault = _fault
-        self.rng_factory = scenario.rng_factory
-        # Clear component trigger/array state before the workers fork a
-        # snapshot of the scenario, so one Scenario is reusable.
-        scenario.interventions.reset()
-        d = scenario.disease
-        self._terminal_states = np.array(
-            [
-                s.dwell.kind.name == "FOREVER" and not s.is_infectious
-                for s in d.states
-            ]
-        )
 
     @classmethod
     def from_spec(cls, spec, graph=None, partition=None) -> "SmpSimulator":
@@ -221,13 +185,6 @@ class SmpSimulator:
         )
 
     # ------------------------------------------------------------------
-    def _prevalence(self, health_state, ever_infected) -> float:
-        d = self.scenario.disease
-        infected_now = ever_infected & (health_state != d.susceptible_index)
-        infected_now &= ~self._terminal_states[health_state]
-        return float(infected_now.sum()) / max(1, self.scenario.graph.n_persons)
-
-    # ------------------------------------------------------------------
     def run(self) -> SmpResult:
         with observe.span(
             "smp.run", workers=self.n_workers, days=self.scenario.n_days
@@ -236,7 +193,6 @@ class SmpSimulator:
 
     def _run(self) -> SmpResult:
         sc = self.scenario
-        d = sc.disease
         n = self.n_workers
         mp = multiprocessing.get_context("fork")
         shared = build_shared_state(sc, n, self.ring_capacity)
@@ -244,6 +200,15 @@ class SmpSimulator:
         parent_conns: list = []
         t_origin = time.perf_counter()
         try:
+            # The central steps run on the shared arrays.  Building the
+            # core resets the scenario's component state before the
+            # workers fork their snapshot of it.
+            core = DayCore(
+                sc,
+                (shared.health_state, shared.days_remaining, shared.treatment,
+                 shared.ever_infected),
+                collect_stats=self.collect_location_stats,
+            )
             for rank in range(n):
                 parent, child = mp.Pipe()
                 ctx = WorkerContext(
@@ -261,26 +226,11 @@ class SmpSimulator:
                 procs.append(p)
                 parent_conns.append(parent)
 
-            curve = EpiCurve()
-            result = SimulationResult(curve=curve, final_histogram={})
-            out = SmpResult(result=result, n_workers=n, wall_seconds=0.0)
-            seeded = self._seed(shared)
+            out = SmpResult(result=None, n_workers=n, wall_seconds=0.0)
 
             for day in range(sc.n_days):
                 day_start = time.perf_counter() - t_origin
-                prevalence = self._prevalence(
-                    shared.health_state, shared.ever_infected
-                )
-                ctx = DayContext(
-                    day=day, graph=sc.graph, disease=d,
-                    health_state=shared.health_state,
-                    treatment=shared.treatment,
-                    prevalence=prevalence,
-                    cumulative_attack=float(shared.ever_infected.mean()),
-                    rng_factory=self.rng_factory,
-                    days_remaining=shared.days_remaining,
-                )
-                sc.interventions.update_treatments(ctx)
+                ctx = core.begin_day()
                 # Workers are parked on their pipes; counters are quiet.
                 shared.visit_counters[:] = 0
                 shared.infect_counters[:] = 0
@@ -289,7 +239,7 @@ class SmpSimulator:
                 # stale pre-run snapshots otherwise.  Empty for the
                 # built-in interventions (exact 32-byte budget).
                 kick = protocol.encode_day(
-                    day, prevalence, ctx.cumulative_attack,
+                    day, ctx.prevalence, ctx.cumulative_attack,
                     sc.interventions.wire_state(),
                 )
                 for conn in parent_conns:
@@ -299,14 +249,9 @@ class SmpSimulator:
                 reports = self._collect_reports(
                     procs, parent_conns, shared, day, out
                 )
-                self._ingest_day(
-                    out, day, day_start, t_origin, reports,
-                    seeded if day == 0 else 0, shared, ctx,
-                )
+                self._ingest_day(out, core, day_start, t_origin, reports)
 
-            out.result.final_histogram = state_histogram(
-                shared.health_state.copy(), d
-            )
+            out.result = core.result()
             out.final_health_state = shared.health_state.copy()
             out.final_days_remaining = shared.days_remaining.copy()
             out.wall_seconds = time.perf_counter() - t_origin
@@ -329,15 +274,6 @@ class SmpSimulator:
             shared.arena.close()
 
     # ------------------------------------------------------------------
-    def _seed(self, shared) -> int:
-        cases = self.scenario.index_cases()
-        infected = self.scenario.disease.infect(
-            cases, shared.health_state, shared.days_remaining,
-            shared.treatment, day=-1, rng_factory=self.rng_factory,
-        )
-        shared.ever_infected[infected] = True
-        return int(infected.size)
-
     def _collect_reports(
         self, procs, conns, shared, day, out: SmpResult
     ) -> list[protocol.DayReport]:
@@ -390,39 +326,28 @@ class SmpSimulator:
         return reports
 
     def _ingest_day(
-        self, out: SmpResult, day, day_start, t_origin, reports, seeded, shared, ctx
+        self, out: SmpResult, core: DayCore, day_start, t_origin, reports
     ) -> None:
-        new_infections = sum(r.infected for r in reports) + seeded
-        # Post-apply hook on the shared arrays: the workers have all
-        # reported and are parked on their pipes, so this central edit
-        # is race-free and lands at the same algorithmic point as the
-        # sequential simulator (after apply, before prevalence).
-        self.scenario.interventions.post_apply(ctx)
-        prevalence = self._prevalence(shared.health_state, shared.ever_infected)
-        day_result = DayResult(
-            day=day,
-            visits_made=sum(r.visits_made for r in reports),
-            new_infections=new_infections,
-            transitions=sum(r.transitions for r in reports),
-            prevalence=prevalence,
+        day = core.day
+        # The core's post-apply hook edits the shared arrays: the
+        # workers have all reported and are parked on their pipes, so
+        # this central edit is race-free.
+        core.end_day(
+            sum(r.infected for r in reports),
+            sum(r.visits_made for r in reports),
+            sum(r.transitions for r in reports),
         )
-        out.result.days.append(day_result)
-        out.result.curve.record_day(new_infections, prevalence)
-        out.infection_log[day] = [
-            InfectionEvent(person=int(p), location=int(loc), minute=int(m))
-            for r in reports
-            for (p, loc, m) in r.events.tolist()
-        ]
+        out.infection_log[day] = InfectionBatch.from_records(
+            np.concatenate([r.events for r in reports])
+        )
         out.backpressure_events += sum(r.backpressure for r in reports)
         if self.collect_location_stats:
             for r in reports:
-                for pairs, counter in (
-                    (r.stats_events, out.result.location_events),
-                    (r.stats_interactions, out.result.location_interactions),
-                ):
-                    if pairs is not None:
-                        keys, counts = pairs
-                        counter.update(dict(zip(keys.tolist(), counts.tolist())))
+                if r.stats_events is not None:
+                    core.add_location_stats(*r.stats_events, 0)
+                if r.stats_interactions is not None:
+                    keys, counts = r.stats_interactions
+                    core.add_location_stats(keys, 0, counts)
 
         obs = observe.active()
         boundaries = {"person_phase": [], "location_phase": [], "apply_phase": []}
@@ -438,7 +363,7 @@ class SmpSimulator:
                 if obs is not None:
                     obs.add_virtual_span(rank, start, end, f"pe.{name}")
         out.phase_times.append(
-            SmpPhaseTimes(
+            PhaseTimes(
                 day=day,
                 start=day_start,
                 visits_done=max(boundaries["person_phase"]),

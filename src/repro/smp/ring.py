@@ -203,8 +203,7 @@ class Mailbox:
 
     Wraps one :class:`RingGrid` for a fixed worker ``rank``.  Sends are
     staged per destination and flushed as bursts once ``burst_bytes``
-    bytes accumulate (or on :meth:`flush`); ``batch`` (words) is the
-    legacy spelling of the same budget.  Bursts are always a multiple
+    bytes accumulate (or on :meth:`flush`).  Bursts are always a multiple
     of ``record`` words, so consumers never see a torn record, and the
     byte budget makes wide records aggregate as much wire volume per
     flush as narrow ones.  When a destination ring is full the mailbox
@@ -219,8 +218,8 @@ class Mailbox:
     count-on-send.
 
     >>> grid = RingGrid(np.zeros(RingGrid.shape(2, 8), dtype=np.int64), 8)
-    >>> a = Mailbox(grid, rank=0, batch=4)
-    >>> b = Mailbox(grid, rank=1, batch=4)
+    >>> a = Mailbox(grid, rank=0, burst_bytes=32)
+    >>> b = Mailbox(grid, rank=1, burst_bytes=32)
     >>> a.send(1, [1, 2]); a.send(1, [3, 4])   # second send trips the batch
     >>> [(src, w.tolist()) for src, w in b.receive()]
     [(0, [1, 2, 3, 4])]
@@ -243,18 +242,13 @@ class Mailbox:
         self,
         grid: RingGrid,
         rank: int,
-        batch: int | None = None,
         record: int = 1,
-        burst_bytes: int | None = None,
+        burst_bytes: int = DEFAULT_BURST_BYTES,
         on_backpressure: Callable[[], int | None] | None = None,
         on_sent: Callable[[int], None] | None = None,
     ):
         if record < 1 or record > grid.capacity:
             raise ValueError(f"record {record} must be in [1, {grid.capacity}]")
-        if batch is not None and burst_bytes is not None:
-            raise ValueError("give batch (words) or burst_bytes, not both")
-        if burst_bytes is None:
-            burst_bytes = DEFAULT_BURST_BYTES if batch is None else batch * _WORD
         batch = max(record, (burst_bytes // (_WORD * record)) * record)
         if batch > grid.capacity:
             raise ValueError(

@@ -81,13 +81,6 @@ class WorkerContext:
     fault: dict | None = field(default=None, repr=False)
 
 
-def _counter_pairs(counter) -> tuple[np.ndarray, np.ndarray]:
-    """A Counter as parallel ``(keys, counts)`` int64 arrays for the wire."""
-    keys = np.fromiter(counter.keys(), dtype=np.int64, count=len(counter))
-    counts = np.fromiter(counter.values(), dtype=np.int64, count=len(counter))
-    return keys, counts
-
-
 def _maybe_fault(ctx: WorkerContext, day: int, phase: str) -> None:
     f = ctx.fault
     if f and f["rank"] == ctx.rank and f["day"] == day and f["phase"] == phase:
@@ -212,13 +205,10 @@ def _run(ctx: WorkerContext) -> None:
             rows, g, shared.health_state, d, sc.transmission, day, rngf,
             collect_stats=ctx.collect_stats, kernel=ctx.kernel,
         )
-        if phase.infections:
-            ev = np.array(
-                [(e.person, e.location, e.minute) for e in phase.infections],
-                dtype=np.int64,
-            )
+        if len(phase.infections):
             _ev_routed, ev_parts = route_records(
-                ev, person_owner[ev[:, 0]], n_workers
+                phase.infections.records(),
+                person_owner[phase.infections.person], n_workers,
             )
             for dst, part in enumerate(ev_parts):
                 infect_mb.send(dst, part)
@@ -244,11 +234,14 @@ def _run(ctx: WorkerContext) -> None:
 
         # -- step 6: report (the driver's reduction) -----------------------
         # Struct-packed bytes + raw int64 event records: the barrier
-        # payload never pickles a tuple list or a numpy array.
+        # payload never pickles a tuple list or a numpy array.  Stats
+        # travel as (location, count) pairs; interactions only where
+        # non-zero.
         stats_events = stats_inter = None
         if ctx.collect_stats:
-            stats_events = _counter_pairs(phase.events)
-            stats_inter = _counter_pairs(phase.interactions)
+            stats_events = (phase.locations, phase.events)
+            hit = phase.interactions > 0
+            stats_inter = (phase.locations[hit], phase.interactions[hit])
         ctx.conn.send_bytes(
             protocol.encode_report(
                 protocol.DayReport(

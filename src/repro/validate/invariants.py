@@ -42,6 +42,8 @@ from collections import Counter
 
 import numpy as np
 
+from repro.core.exposure import InfectionBatch
+
 __all__ = ["InvariantViolation", "InvariantChecker"]
 
 
@@ -116,7 +118,7 @@ class InvariantChecker:
         self.reinfection_ok = bool(reinfection_ok)
         self.checks_passed = 0
         #: per-day infection events (the oracle's parallel-side record)
-        self.infection_log: dict[int, list] = {}
+        self.infection_log: dict[int, InfectionBatch] = {}
         self._day = -1
         self._state0: np.ndarray | None = None
         self._visit_phase_open = False
@@ -125,7 +127,6 @@ class InvariantChecker:
         self._visits_recv: Counter = Counter()
         self._infects_sent = 0
         self._infects_recv = 0
-        self._rng_keys_used: set[tuple[int, int, int]] = set()
         self._allowed = self._allowed_transitions(disease, extra_transitions)
 
     # ------------------------------------------------------------------
@@ -210,7 +211,7 @@ class InvariantChecker:
         self._visits_recv.clear()
         self._infects_sent = 0
         self._infects_recv = 0
-        self.infection_log[day] = []
+        self.infection_log[day] = InfectionBatch()
 
     # -- visit phase -----------------------------------------------------
     def record_visits_sent(self, rows: np.ndarray) -> None:
@@ -264,20 +265,27 @@ class InvariantChecker:
         return bool(pending())
 
     # -- location / infect phase ----------------------------------------
-    def record_infections(self, day: int, events) -> None:
+    def record_infections(self, day: int, batch: InfectionBatch) -> None:
         """Log a LocationManager's infect messages; keys must be unique."""
-        for ev in events:
-            key = (day, ev.location, ev.person)
-            if key in self._rng_keys_used:
-                self._fail(
-                    f"duplicate transmission RNG key {key}: two infection "
-                    f"events share (day={day}, location={ev.location}, "
-                    f"person={ev.person}) — the same keyed draw was taken twice"
-                )
-            self._rng_keys_used.add(key)
-            self._infects_sent += 1
+        logged = InfectionBatch.concat(
+            [self.infection_log.get(day, InfectionBatch()), batch]
+        )
+        # Transmission draws are keyed (day, location, person): within
+        # one day's log every (location, person) pair must be unique.
+        n = self.graph.n_persons
+        keys, counts = np.unique(
+            logged.location * n + logged.person, return_counts=True
+        )
+        if (counts > 1).any():
+            location, person = divmod(int(keys[np.argmax(counts > 1)]), n)
+            self._fail(
+                f"duplicate transmission RNG key {(day, location, person)}: two "
+                f"infection events share (day={day}, location={location}, "
+                f"person={person}) — the same keyed draw was taken twice"
+            )
+        self._infects_sent += len(batch)
         self._ok()
-        self.infection_log.setdefault(day, []).extend(events)
+        self.infection_log[day] = logged
 
     def record_infect_received(self, person: int) -> None:
         if not self._infect_phase_open:

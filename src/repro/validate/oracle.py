@@ -8,7 +8,8 @@ chare-parallel runtime across the full configuration matrix
 
 and every cell is checked for *exact* equality of
 
-* the per-day infection events (``(person, location)`` sets, taken from
+* the per-day infection events (the ``(person, location)`` pairs of
+  each day's :class:`~repro.core.exposure.InfectionBatch`, taken from
   the parallel run's :class:`~repro.validate.invariants.InvariantChecker`
   log and the sequential run's location-phase results),
 * the epidemic curve (new infections, cumulative count, prevalence),
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.charm.machine import Machine, MachineConfig
+from repro.core.exposure import InfectionBatch
 from repro.core.parallel import Distribution, ParallelEpiSimdemics
 from repro.core.scenario import Scenario
 from repro.core.simulator import SequentialSimulator, SimulationResult
@@ -165,44 +167,42 @@ class OracleReport:
 def sequential_reference(
     scenario: Scenario,
     kernel: str | None = None,
-) -> tuple[SimulationResult, dict[int, set], np.ndarray, np.ndarray]:
+) -> tuple[SimulationResult, dict[int, InfectionBatch], np.ndarray, np.ndarray]:
     """Run the sequential simulator, also logging per-day infection events.
 
     Returns ``(result, events_by_day, health_state, days_remaining)``
-    where ``events_by_day[d]`` is the set of ``(person, location)``
-    transmissions of day ``d``.  ``kernel`` selects the exposure kernel
+    where ``events_by_day[d]`` is the :class:`InfectionBatch` of day
+    ``d`` in emission order.  ``kernel`` selects the exposure kernel
     (None = the module default).
     """
-    from repro.core.metrics import EpiCurve, state_histogram
-
     sim = SequentialSimulator(scenario, kernel=kernel)
-    curve = EpiCurve()
-    result = SimulationResult(curve=curve, final_histogram={})
-    events: dict[int, set] = {}
-    for day in range(scenario.n_days):
-        day_result, phase = sim.step_day()
-        events[day] = {(ev.person, ev.location) for ev in phase.infections}
-        result.days.append(day_result)
-        curve.record_day(day_result.new_infections, day_result.prevalence)
-    result.final_histogram = state_histogram(sim.health_state, scenario.disease)
-    return result, events, sim.health_state, sim.days_remaining
+    events = {day: sim.step_day()[1].infections for day in range(scenario.n_days)}
+    return sim.core.result(), events, sim.health_state, sim.days_remaining
 
 
 # ----------------------------------------------------------------------
 # comparison
 # ----------------------------------------------------------------------
 def _diff_events(
-    scenario: Scenario, seq_events: dict[int, set], par_events: dict[int, set]
+    scenario: Scenario,
+    seq_events: dict[int, InfectionBatch],
+    par_events: dict[int, InfectionBatch],
 ) -> Divergence | None:
+    """Compare per-day events as sets of ``(location, person)`` keys —
+    delivery order differs between backends."""
     factory = scenario.rng_factory
+    n = scenario.graph.n_persons
+    empty = InfectionBatch()
     for day in range(scenario.n_days):
-        s, p = seq_events.get(day, set()), par_events.get(day, set())
-        if s == p:
+        s, p = (
+            np.unique(b.location * n + b.person)
+            for b in (seq_events.get(day, empty), par_events.get(day, empty))
+        )
+        if np.array_equal(s, p):
             continue
-        only_seq = sorted(s - p, key=lambda e: (e[1], e[0]))
-        only_par = sorted(p - s, key=lambda e: (e[1], e[0]))
-        person, location = (only_seq or only_par)[0]
-        side = "sequential-only" if only_seq else "parallel-only"
+        only_seq, only_par = np.setdiff1d(s, p), np.setdiff1d(p, s)
+        location, person = divmod(int((only_seq if only_seq.size else only_par)[0]), n)
+        side = "sequential-only" if only_seq.size else "parallel-only"
         return Divergence(
             kind="events",
             day=day,
@@ -210,8 +210,8 @@ def _diff_events(
             person=person,
             rng_key=factory.seed(RngFactory.LOCATION, day, location, person),
             detail=(
-                f"{side} infection event; {len(only_seq)} event(s) missing from "
-                f"the parallel run, {len(only_par)} extra"
+                f"{side} infection event; {only_seq.size} event(s) missing from "
+                f"the parallel run, {only_par.size} extra"
             ),
         )
     return None
@@ -386,10 +386,7 @@ def run_matrix(
                 )
                 par_curve = sim.curve
                 divergence = (
-                    _diff_events(sim.scenario, seq_events, {
-                        d: {(ev.person, ev.location) for ev in evs}
-                        for d, evs in sim.checker.infection_log.items()
-                    })
+                    _diff_events(sim.scenario, seq_events, sim.checker.infection_log)
                     or _diff_curve(sim.scenario, seq_result.curve, par_curve)
                     or _diff_final_state(seq_state, seq_remaining, sim)
                 )
@@ -475,11 +472,11 @@ def run_kernel_differential(
     for day in range(n_days):
         day_a, phase_a = sim_a.step_day()
         day_b, phase_b = sim_b.step_day()
-        ev_a = [(e.person, e.location, e.minute) for e in phase_a.infections]
-        ev_b = [(e.person, e.location, e.minute) for e in phase_b.infections]
+        ev_a, ev_b = phase_a.infections, phase_b.infections
         if ev_a != ev_b:
-            only_a = sorted(set(ev_a) - set(ev_b))
-            only_b = sorted(set(ev_b) - set(ev_a))
+            set_a = set(map(tuple, ev_a.records().tolist()))
+            set_b = set(map(tuple, ev_b.records().tolist()))
+            only_a, only_b = sorted(set_a - set_b), sorted(set_b - set_a)
             if only_a or only_b:
                 person, location, _minute = (only_a or only_b)[0]
                 detail = (
@@ -487,7 +484,7 @@ def run_kernel_differential(
                     f"{len(only_b)} only in {kernel_b}"
                 )
             else:
-                person, location, _minute = ev_a[0]
+                person, location = int(ev_a.person[0]), int(ev_a.location[0])
                 detail = "same events, different emission order"
             report.divergence = Divergence(
                 kind="events", day=day, location=location, person=person,
@@ -641,10 +638,7 @@ def run_smp_matrix(
             )
             out = sim.run()
             divergence = (
-                _diff_events(sim.scenario, seq_events, {
-                    d: {(ev.person, ev.location) for ev in evs}
-                    for d, evs in out.infection_log.items()
-                })
+                _diff_events(sim.scenario, seq_events, out.infection_log)
                 or _diff_curve(sim.scenario, seq_result.curve, out.result.curve)
                 or _diff_final_state_arrays(
                     seq_state, seq_remaining,
@@ -800,10 +794,7 @@ def run_scenario_matrix(
         sim = run_cell(build(name), machine, partition, "cd", "aggregated",
                        kernel=kernel)
         divergence = (
-            _diff_events(sim.scenario, seq_events, {
-                d: {(ev.person, ev.location) for ev in evs}
-                for d, evs in sim.checker.infection_log.items()
-            })
+            _diff_events(sim.scenario, seq_events, sim.checker.infection_log)
             or _diff_curve(sim.scenario, seq_result.curve, sim.curve)
             or _diff_final_state(seq_state, seq_remaining, sim)
         )
@@ -819,10 +810,7 @@ def run_scenario_matrix(
                 ring_capacity=ring_capacity,
             ).run()
             divergence = (
-                _diff_events(sc, seq_events, {
-                    d: {(ev.person, ev.location) for ev in evs}
-                    for d, evs in out.infection_log.items()
-                })
+                _diff_events(sc, seq_events, out.infection_log)
                 or _diff_curve(sc, seq_result.curve, out.result.curve)
                 or _diff_final_state_arrays(
                     seq_state, seq_remaining,

@@ -12,7 +12,6 @@ from repro.core import (
 )
 from repro.core.checkpoint import load_checkpoint, run_with_checkpointing, save_checkpoint
 from repro.core.interventions import InterventionSchedule
-from repro.core.metrics import EpiCurve
 
 
 def _scenario(graph, n_days=14, with_interventions=False):
@@ -38,7 +37,10 @@ class TestSaveLoad:
         assert restored.day == 5
         np.testing.assert_array_equal(restored.health_state, sim.health_state)
         np.testing.assert_array_equal(restored.days_remaining, sim.days_remaining)
-        np.testing.assert_array_equal(restored._ever_infected, sim._ever_infected)
+        np.testing.assert_array_equal(
+            restored.core.ever_infected, sim.core.ever_infected
+        )
+        assert restored.core.curve == sim.core.curve
 
     def test_seed_mismatch_rejected(self, tiny_graph, tmp_path):
         sim = SequentialSimulator(_scenario(tiny_graph))
@@ -65,41 +67,26 @@ class TestResumeEquality:
 
         # Interrupted: run 6 days, checkpoint, rebuild from disk, finish.
         sim = SequentialSimulator(_scenario(tiny_graph))
-        curve = EpiCurve()
         for _ in range(6):
-            dr, _ = sim.step_day()
-            curve.record_day(dr.new_infections, dr.prevalence)
-        sim._checkpoint_curve = curve
+            sim.step_day()
         save_checkpoint(sim, tmp_path / "ck.npz")
 
         resumed = load_checkpoint(_scenario(tiny_graph), tmp_path / "ck.npz")
-        curve2 = resumed._checkpoint_curve
-        while resumed.day < 14:
-            dr, _ = resumed.step_day()
-            curve2.record_day(dr.new_infections, dr.prevalence)
-
-        assert curve2 == reference.curve
+        assert resumed.run().curve == reference.curve
 
     def test_resume_with_interventions(self, tiny_graph, tmp_path):
         """Trigger state (fired closures, spent vaccinations) must survive."""
         reference = SequentialSimulator(_scenario(tiny_graph, with_interventions=True)).run()
 
         sim = SequentialSimulator(_scenario(tiny_graph, with_interventions=True))
-        curve = EpiCurve()
         for _ in range(7):
-            dr, _ = sim.step_day()
-            curve.record_day(dr.new_infections, dr.prevalence)
-        sim._checkpoint_curve = curve
+            sim.step_day()
         save_checkpoint(sim, tmp_path / "ck.npz")
 
         resumed = load_checkpoint(
             _scenario(tiny_graph, with_interventions=True), tmp_path / "ck.npz"
         )
-        curve2 = resumed._checkpoint_curve
-        while resumed.day < 14:
-            dr, _ = resumed.step_day()
-            curve2.record_day(dr.new_infections, dr.prevalence)
-        assert curve2 == reference.curve
+        assert resumed.run().curve == reference.curve
 
 
 class TestRunWithCheckpointing:
@@ -136,13 +123,6 @@ class TestRoundTripProperty:
     day boundary and resuming from disk reproduces the uninterrupted
     epidemic exactly."""
 
-    @staticmethod
-    def _run_tail(sim, curve):
-        while sim.day < sim.scenario.n_days:
-            dr, _ = sim.step_day()
-            curve.record_day(dr.new_infections, dr.prevalence)
-        return curve
-
     def test_roundtrip_any_scenario_any_cut(self):
         import tempfile
         from pathlib import Path
@@ -163,17 +143,13 @@ class TestRoundTripProperty:
                 st.integers(0, scenario.n_days), label="checkpoint day"
             )
             sim = SequentialSimulator(scenario)
-            curve = EpiCurve()
             for _ in range(cut):
-                dr, _ = sim.step_day()
-                curve.record_day(dr.new_infections, dr.prevalence)
-            sim._checkpoint_curve = curve
+                sim.step_day()
             with tempfile.TemporaryDirectory() as tmp:
                 path = Path(tmp) / "ck.npz"
                 save_checkpoint(sim, path)
                 resumed = load_checkpoint(scenario, path)
-            final = self._run_tail(resumed, resumed._checkpoint_curve)
-            assert final == reference.curve
+            assert resumed.run().curve == reference.curve
             np.testing.assert_array_equal(resumed.health_state, ref_sim.health_state)
             np.testing.assert_array_equal(resumed.days_remaining, ref_sim.days_remaining)
 

@@ -43,11 +43,6 @@ def test_compiled_is_a_registered_kernel():
     assert "compiled" in KERNELS
 
 
-def _infection_tuples(result):
-    # Order is part of the contract — no sorting here.
-    return [(e.person, e.location, e.minute) for e in result.infections]
-
-
 def _phase_inputs(scenario, infected_frac=0.25):
     g = scenario.graph
     d = scenario.disease
@@ -78,9 +73,12 @@ class TestCompiledBitExact:
             rows, g, state, d, scenario.transmission, 0, f,
             collect_stats=True, kernel="compiled",
         )
-        assert _infection_tuples(compiled) == _infection_tuples(flat)
-        assert compiled.events == flat.events
-        assert compiled.interactions == flat.interactions
+        # Order is part of the contract: InfectionBatch equality is
+        # column-wise, element by element.
+        assert compiled.infections == flat.infections
+        assert np.array_equal(compiled.locations, flat.locations)
+        assert np.array_equal(compiled.events, flat.events)
+        assert np.array_equal(compiled.interactions, flat.interactions)
         assert compiled.pairs == flat.pairs
 
     @given(scenarios())

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import Scenario, TransmissionModel
-from repro.core.exposure import compute_infections
+from repro.core.exposure import InfectionBatch, compute_infections
 from repro.util.rng import RngFactory
 
 
@@ -23,8 +23,15 @@ def _setup(graph, infected_frac=0.1, seed=3):
     return sc, state
 
 
-def _key(events):
-    return sorted((e.person, e.location, e.minute) for e in events)
+def _key(batch):
+    return sorted(map(tuple, batch.records().tolist()))
+
+
+def _dense(res, name, graph):
+    """A result's per-location ``events``/``interactions`` as a dense array."""
+    out = np.zeros(graph.n_locations, dtype=np.int64)
+    out[res.locations] = getattr(res, name)
+    return out
 
 
 class TestGroupingInvariance:
@@ -41,7 +48,9 @@ class TestGroupingInvariance:
         part_b = rows[locs[rows] % 2 == 1]
         a = compute_infections(part_a, tiny_graph, state, sc.disease, sc.transmission, 0, f)
         b = compute_infections(part_b, tiny_graph, state, sc.disease, sc.transmission, 0, f)
-        assert _key(whole.infections) == _key(a.infections + b.infections)
+        assert _key(whole.infections) == _key(
+            InfectionBatch.concat([a.infections, b.infections])
+        )
 
     def test_row_order_irrelevant(self, tiny_graph):
         sc, state = _setup(tiny_graph)
@@ -57,7 +66,7 @@ class TestGroupingInvariance:
         state, _ = d.initial_health(tiny_graph.n_persons)
         rows = np.arange(tiny_graph.n_visits, dtype=np.int64)
         res = compute_infections(rows, tiny_graph, state, d, sc.transmission, 0, RngFactory(0))
-        assert res.infections == []
+        assert len(res.infections) == 0
 
     def test_empty_rows(self, tiny_graph):
         sc, state = _setup(tiny_graph)
@@ -65,8 +74,8 @@ class TestGroupingInvariance:
             np.empty(0, dtype=np.int64), tiny_graph, state, sc.disease,
             sc.transmission, 0, RngFactory(0),
         )
-        assert res.infections == []
-        assert res.events == {}
+        assert res.infections == InfectionBatch()
+        assert res.locations.size == res.events.size == 0
 
 
 class TestStats:
@@ -77,7 +86,10 @@ class TestStats:
             rows, tiny_graph, state, sc.disease, sc.transmission, 0,
             RngFactory(0), collect_stats=True,
         )
-        assert sum(res.events.values()) == 2 * tiny_graph.n_visits
+        assert res.events.sum() == 2 * tiny_graph.n_visits
+        assert np.array_equal(res.locations, np.unique(tiny_graph.visit_location))
+        assert res.interactions.shape == res.locations.shape
+        assert res.interactions.sum() == res.pairs
 
     def test_merge_accumulates(self, tiny_graph):
         sc, state = _setup(tiny_graph)
@@ -86,13 +98,13 @@ class TestStats:
             rows, tiny_graph, state, sc.disease, sc.transmission, 0,
             RngFactory(0), collect_stats=True,
         )
-        before = sum(a.events.values())
+        before = a.events.sum()
         b = compute_infections(
             rows, tiny_graph, state, sc.disease, sc.transmission, 1,
             RngFactory(0), collect_stats=True,
         )
         a.merge(b)
-        assert sum(a.events.values()) == before + sum(b.events.values())
+        assert a.events.sum() == before + b.events.sum()
 
     def test_infection_minutes_within_day(self, tiny_graph):
         sc, state = _setup(tiny_graph, infected_frac=0.3)
@@ -100,14 +112,13 @@ class TestStats:
         res = compute_infections(
             rows, tiny_graph, state, sc.disease, sc.transmission, 0, RngFactory(3)
         )
-        assert res.infections, "expected some transmissions at 30% prevalence"
-        for ev in res.infections:
-            assert 0 < ev.minute <= 1440
+        assert len(res.infections), "expected some transmissions at 30% prevalence"
+        assert np.all((res.infections.minute > 0) & (res.infections.minute <= 1440))
 
 
 class TestCounterMerge:
-    """Stats accumulate Counter-style: merging results that share
-    location keys must *add* counts, never overwrite them."""
+    """Stats accumulate counter-style: merging results that share
+    location ids must *add* their counts, never overwrite them."""
 
     def test_merge_adds_on_shared_locations(self, tiny_graph):
         sc, state = _setup(tiny_graph)
@@ -120,14 +131,12 @@ class TestCounterMerge:
             rows, tiny_graph, state, sc.disease, sc.transmission, 1,
             RngFactory(0), collect_stats=True,
         )
-        expected = {loc: a.events[loc] + b.events[loc] for loc in set(a.events) | set(b.events)}
-        expected_inter = {
-            loc: a.interactions[loc] + b.interactions[loc]
-            for loc in set(a.interactions) | set(b.interactions)
-        }
+        g = tiny_graph
+        expected = _dense(a, "events", g) + _dense(b, "events", g)
+        expected_inter = _dense(a, "interactions", g) + _dense(b, "interactions", g)
         a.merge(b)
-        assert dict(a.events) == expected
-        assert dict(a.interactions) == expected_inter
+        assert np.array_equal(_dense(a, "events", g), expected)
+        assert np.array_equal(_dense(a, "interactions", g), expected_inter)
 
     def test_merge_across_location_groups(self, tiny_graph):
         """The parallel path: each LocationManager computes a disjoint
@@ -150,8 +159,9 @@ class TestCounterMerge:
                 merged = res
             else:
                 merged.merge(res)
-        assert dict(merged.events) == dict(whole.events)
-        assert dict(merged.interactions) == dict(whole.interactions)
+        assert np.array_equal(merged.locations, whole.locations)
+        assert np.array_equal(merged.events, whole.events)
+        assert np.array_equal(merged.interactions, whole.interactions)
         assert _key(merged.infections) == _key(whole.infections)
 
     def test_sequential_run_accumulates_location_stats(self, tiny_graph):
@@ -163,6 +173,6 @@ class TestCounterMerge:
         )
         result = SequentialSimulator(sc, collect_location_stats=True).run()
         # Every day contributes 2 events per visit made.
-        assert sum(result.location_events.values()) == 2 * sum(
+        assert result.location_events.sum() == 2 * sum(
             d.visits_made for d in result.days
         )

@@ -25,7 +25,7 @@ from repro.validate.strategies import scenarios, visit_graphs
 
 def _infection_tuples(result):
     # Order is part of the contract — no sorting here.
-    return [(e.person, e.location, e.minute) for e in result.infections]
+    return result.infections.records().tolist()
 
 
 def _phase_inputs(scenario, infected_frac=0.25):
@@ -55,11 +55,17 @@ class TestKernelEquivalence:
             rows, g, state, d, scenario.transmission, 0, f,
             collect_stats=True, kernel="flat",
         )
-        assert _infection_tuples(flat) == _infection_tuples(grouped)
-        assert flat.events == grouped.events
-        assert flat.interactions == grouped.interactions
+        assert flat.infections == grouped.infections
+        for res in (flat, grouped):
+            for column in (res.infections.person, res.infections.location,
+                           res.infections.minute, res.locations, res.events,
+                           res.interactions):
+                assert column.dtype == np.int64
+        assert np.array_equal(flat.locations, grouped.locations)
+        assert np.array_equal(flat.events, grouped.events)
+        assert np.array_equal(flat.interactions, grouped.interactions)
         assert flat.pairs == grouped.pairs
-        assert flat.pairs == sum(flat.interactions.values())
+        assert flat.pairs == flat.interactions.sum()
 
     @given(scenarios())
     @settings(max_examples=20, deadline=None)

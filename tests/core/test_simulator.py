@@ -96,14 +96,17 @@ class TestLocationStats:
     def test_stats_collected_when_enabled(self, tiny_scenario):
         sim = SequentialSimulator(tiny_scenario, collect_location_stats=True)
         res = sim.run()
-        assert len(res.location_events) > 0
+        n_locations = tiny_scenario.graph.n_locations
+        assert res.location_events.shape == (n_locations,)
+        assert res.location_interactions.shape == (n_locations,)
         # Events are 2x visits and accumulate across days.
-        total_events = sum(res.location_events.values())
+        total_events = int(res.location_events.sum())
         assert total_events > tiny_scenario.graph.n_visits  # > one day's worth
 
     def test_stats_empty_when_disabled(self, tiny_scenario):
         res = SequentialSimulator(tiny_scenario).run()
-        assert res.location_events == {}
+        assert res.location_events is None
+        assert res.location_interactions is None
 
 
 class TestScenarioValidation:

@@ -25,11 +25,12 @@ def assert_bitexact(make_scenario, workers: int, **smp_kwargs) -> None:
     out = SmpSimulator(make_scenario(), n_workers=workers, **smp_kwargs).run()
 
     assert out.result.curve == seq_result.curve
-    smp_events = {
-        day: {(e.person, e.location) for e in events}
-        for day, events in out.infection_log.items()
-    }
-    assert smp_events == seq_events
+    # Same events per day; the smp log is in worker-rank order.
+    assert out.infection_log.keys() == seq_events.keys()
+    for day, events in out.infection_log.items():
+        assert sorted(map(tuple, events.records().tolist())) == sorted(
+            map(tuple, seq_events[day].records().tolist())
+        )
     np.testing.assert_array_equal(out.final_health_state, seq_state)
     np.testing.assert_array_equal(out.final_days_remaining, seq_remaining)
 
@@ -80,7 +81,7 @@ def test_heavy_tailed_population(heavy_graph, workers):
 def test_tight_rings_still_exact(tiny_graph):
     # Force heavy backpressure: rings barely larger than one batch.
     # Correctness must not depend on ring capacity, only progress does.
-    out_kwargs = dict(ring_capacity=64, batch=16)
+    out_kwargs = dict(ring_capacity=64, burst_bytes=8 * 16)
     assert_bitexact(make_tiny(tiny_graph), 2, **out_kwargs)
 
 

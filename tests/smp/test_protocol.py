@@ -141,12 +141,17 @@ class TestBurstSizing:
         assert mb.batch % 3 == 0
 
     def test_legacy_batch_kwarg_still_words(self):
-        mb = Mailbox(self.make_grid(), 0, batch=64)
+        """``batch`` is no longer a knob, only the resolved burst size
+        in words; the budget is spelled ``burst_bytes``."""
+        mb = Mailbox(self.make_grid(), 0, burst_bytes=8 * 64)
         assert mb.batch == 64 and mb.burst_bytes == 512
+        with pytest.raises(TypeError, match="batch"):
+            Mailbox(self.make_grid(), 0, batch=64)
 
     def test_batch_and_burst_bytes_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
-            Mailbox(self.make_grid(), 0, batch=8, burst_bytes=64)
+        """A burst budget wider than the ring is rejected up front."""
+        with pytest.raises(ValueError, match="exceeds ring capacity"):
+            Mailbox(self.make_grid(capacity=8), 0, burst_bytes=8 * 16)
 
 
 class TestBackoff:

@@ -79,7 +79,7 @@ class TestRingGrid:
 class TestMailbox:
     def test_batch_flush_threshold(self):
         grid = make_grid()
-        a, b = Mailbox(grid, 0, batch=4), Mailbox(grid, 1, batch=4)
+        a, b = Mailbox(grid, 0, burst_bytes=32), Mailbox(grid, 1, burst_bytes=32)
         a.send(1, [1, 2])
         assert b.receive() == []          # staged, below threshold
         assert a.staged_words == 2
@@ -91,9 +91,9 @@ class TestMailbox:
         # record=3 events through a capacity-9 ring: every burst the
         # consumer sees is a whole number of records.
         grid = make_grid(capacity=9)
-        a = Mailbox(grid, 0, batch=6, record=3,
+        a = Mailbox(grid, 0, burst_bytes=48, record=3,
                     on_backpressure=lambda: drain())
-        b = Mailbox(grid, 1, batch=6, record=3)
+        b = Mailbox(grid, 1, burst_bytes=48, record=3)
         got = []
 
         def drain():
@@ -109,20 +109,20 @@ class TestMailbox:
         assert got == records
 
     def test_partial_record_rejected(self):
-        a = Mailbox(make_grid(), 0, batch=6, record=3)
+        a = Mailbox(make_grid(), 0, burst_bytes=48, record=3)
         with pytest.raises(ValueError, match="not a multiple of record"):
             a.send(1, [1, 2])
 
     def test_batch_floored_to_record_multiple(self):
-        a = Mailbox(make_grid(capacity=32), 0, batch=8, record=3)
+        a = Mailbox(make_grid(capacity=32), 0, burst_bytes=64, record=3)
         assert a.batch == 6
 
     def test_backpressure_drains_and_counts(self):
         grid = make_grid(capacity=4)
-        b = Mailbox(grid, 1, batch=4)
+        b = Mailbox(grid, 1, burst_bytes=32)
         delivered = []
         a = Mailbox(
-            grid, 0, batch=4,
+            grid, 0, burst_bytes=32,
             on_backpressure=lambda: delivered.extend(
                 w for _, ws in b.receive() for w in ws.tolist()),
         )
@@ -136,7 +136,7 @@ class TestMailbox:
 
     def test_ring_full_without_handler_raises(self):
         grid = make_grid(capacity=4)
-        a = Mailbox(grid, 0, batch=4)
+        a = Mailbox(grid, 0, burst_bytes=32)
         a.send(1, [1, 2, 3, 4])           # fills the ring
         with pytest.raises(RingFull, match="0->1 full"):
             a.send(1, [5, 6, 7, 8])
@@ -144,7 +144,7 @@ class TestMailbox:
     def test_on_sent_counts_at_publication(self):
         grid = make_grid()
         pushed = []
-        a = Mailbox(grid, 0, batch=4, on_sent=pushed.append)
+        a = Mailbox(grid, 0, burst_bytes=32, on_sent=pushed.append)
         a.send(1, [1, 2])
         assert pushed == []               # staged only
         a.flush()

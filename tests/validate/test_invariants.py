@@ -20,7 +20,7 @@ import pytest
 from repro.charm.machine import Machine, MachineConfig
 from repro.core import Scenario, TransmissionModel
 from repro.core.disease import influenza_model
-from repro.core.exposure import InfectionEvent
+from repro.core.exposure import InfectionBatch
 from repro.core.metrics import EpiCurve
 from repro.core.parallel import Distribution, ParallelEpiSimdemics, _LocationManager
 from repro.partition import round_robin_partition
@@ -127,14 +127,29 @@ class TestVisitDelivery:
 class TestInfectPhase:
     def test_duplicate_rng_key_fires(self, checker):
         checker.begin_day(0, np.zeros(checker.graph.n_persons, dtype=np.int64))
-        ev = InfectionEvent(person=3, location=1, minute=100)
-        checker.record_infections(0, [ev])
+        ev = InfectionBatch.from_records([[3, 1, 100]])
+        checker.record_infections(0, ev)
         with pytest.raises(InvariantViolation, match="duplicate transmission RNG key"):
-            checker.record_infections(0, [ev])
+            checker.record_infections(0, ev)
+
+    def test_duplicate_rng_key_within_one_batch_fires(self, checker):
+        checker.begin_day(0, np.zeros(checker.graph.n_persons, dtype=np.int64))
+        ev = InfectionBatch.from_records([[3, 1, 100], [4, 1, 90], [3, 1, 120]])
+        with pytest.raises(InvariantViolation, match=r"\(0, 1, 3\)"):
+            checker.record_infections(0, ev)
+
+    def test_same_person_other_location_or_day_is_fine(self, checker):
+        checker.begin_day(0, np.zeros(checker.graph.n_persons, dtype=np.int64))
+        checker.record_infections(0, InfectionBatch.from_records([[3, 1, 100]]))
+        checker.record_infections(0, InfectionBatch.from_records([[3, 2, 100]]))
+        checker.begin_day(1, np.zeros(checker.graph.n_persons, dtype=np.int64))
+        checker.record_infections(1, InfectionBatch.from_records([[3, 1, 100]]))
+        assert len(checker.infection_log[0]) == 2
+        assert len(checker.infection_log[1]) == 1
 
     def test_lost_infect_fires(self, checker):
         checker.begin_day(0, np.zeros(checker.graph.n_persons, dtype=np.int64))
-        checker.record_infections(0, [InfectionEvent(person=3, location=1, minute=100)])
+        checker.record_infections(0, InfectionBatch.from_records([[3, 1, 100]]))
         with pytest.raises(InvariantViolation, match="infect delivery broken"):
             checker.close_infect_phase()
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.charm.machine import Machine, MachineConfig
+from repro.core.exposure import InfectionBatch
 from repro.core.parallel import Distribution, ParallelEpiSimdemics
 from repro.core.simulator import SequentialSimulator
 from repro.partition import round_robin_partition
@@ -20,6 +21,7 @@ from repro.validate.oracle import (
     DISTRIBUTIONS,
     SYNC_MODES,
     Divergence,
+    _diff_events,
     run_matrix,
     sequential_reference,
 )
@@ -44,6 +46,25 @@ class TestMatrix:
         assert "0x0000000000000abc" in text
 
 
+class TestDiffEvents:
+    """Event diffs compare (location, person) sets per day."""
+
+    def test_delivery_order_and_minute_are_ignored(self, tiny_scenario):
+        seq = {0: InfectionBatch.from_records([[5, 2, 100], [3, 1, 90]])}
+        par = {0: InfectionBatch.from_records([[3, 1, 95], [5, 2, 100]])}
+        assert _diff_events(tiny_scenario, seq, par) is None
+
+    def test_first_divergent_event_is_named(self, tiny_scenario):
+        seq = {0: InfectionBatch(), 1: InfectionBatch.from_records(
+            [[5, 2, 100], [3, 1, 90], [4, 1, 80]])}
+        par = {1: InfectionBatch.from_records([[5, 2, 100], [7, 9, 10]])}
+        d = _diff_events(tiny_scenario, seq, par)
+        # Lowest (location, person) first among the sequential-only events.
+        assert (d.kind, d.day, d.location, d.person) == ("events", 1, 1, 3)
+        assert "sequential-only" in d.detail
+        assert "2 event(s) missing from the parallel run, 1 extra" in d.detail
+
+
 class TestSequentialReference:
     def test_reference_matches_plain_run(self, tiny_scenario):
         result, events, state, remaining = sequential_reference(tiny_scenario)
@@ -53,7 +74,7 @@ class TestSequentialReference:
         # Unique persons hit per day total the curve (minus index cases);
         # one person can draw events at several locations on one day.
         seeded = tiny_scenario.initial_infections
-        unique_hits = sum(len({p for p, _ in e}) for e in events.values())
+        unique_hits = sum(np.unique(e.person).size for e in events.values())
         assert unique_hits == plain.total_infections - seeded
 
 
