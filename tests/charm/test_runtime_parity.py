@@ -5,8 +5,10 @@ total virtual time, the runtime's message / byte / event / compute
 counters, the per-chare LB cost feed and the visit channel's
 aggregation counters for the golden scaled-Wyoming population.  The
 cells cross the three visit deliveries with both detectors and with
-one and two chares per PE (the multi-LM-per-PE dispatch path), plus one
-greedy-LB and one ``validate=True`` cell.  The values are compared with
+one and two chares per PE (the multi-LM-per-PE dispatch path), plus
+load-balanced cells (their per-chare cost feed rounds differently if
+batched records are attributed in one step) and one ``validate=True``
+cell.  The values are compared with
 ``==``: the runtime model is deterministic, so any change to a modelled
 time or count is a change of the program, not noise.
 
@@ -45,6 +47,11 @@ CELLS = [
     for cpp in (1, 2)
 ] + [
     _cell("aggregated", "cd", 2, "-lb2-greedy", lb_period=2, lb_strategy="greedy"),
+    _cell(
+        "aggregated", "cd", 3, "-lb2-greedy-64k",
+        lb_period=2, lb_strategy="greedy", aggregation_bytes=64 * 1024,
+    ),
+    _cell("tram", "cd", 4, "-lb2-refine", lb_period=2, lb_strategy="refine"),
     _cell("tram", "qd", 2, "-validate", validate=True),
 ]
 
@@ -83,7 +90,7 @@ def capture(cell: dict) -> dict:
     sim = ParallelEpiSimdemics(
         scenario, DEFAULT_MACHINE, dist,
         sync=cell["sync"], delivery=cell["delivery"],
-        aggregation_bytes=AGGREGATION_BYTES,
+        aggregation_bytes=cell.get("aggregation_bytes", AGGREGATION_BYTES),
         lb_period=cell.get("lb_period"),
         lb_strategy=cell.get("lb_strategy", "greedy"),
         validate=cell.get("validate", False),
