@@ -21,8 +21,9 @@ Components:
 * :mod:`repro.charm.reduction` — spanning-tree reductions/broadcasts;
 * :mod:`repro.charm.completion` — completion detection (§IV-B) and
   quiescence detection, as real protocols with modelled wave costs;
-* :mod:`repro.charm.aggregation` — TRAM-like message aggregation
-  (§IV-C).
+* :mod:`repro.charm.aggregation` — per-destination aggregation of
+  columnar record blocks (§IV-C); :mod:`repro.charm.tram` — the
+  TRAM-like mesh-routed variant.
 """
 
 from repro.charm.machine import MachineConfig, Machine, BLUE_WATERS_NODE

@@ -10,7 +10,11 @@ entry method the chare may:
 
 * ``self.charge(seconds)``   — account modelled compute time,
 * ``self.send(...)``         — message another chare,
-* ``self.send_via(...)``     — message through an aggregation channel,
+* ``self.send_via(...)``     — send a block of records through an
+  aggregation channel: an array of target element indices and an
+  array of payloads, one record per pair; the receiving PE calls the
+  entry once per target element of each delivered block, with that
+  element's payloads as an array (in send order),
 * ``self.contribute(...)``   — join a reduction,
 * ``self.now()``             — read the PE's virtual clock.
 
@@ -64,13 +68,17 @@ class Chare:
         self,
         channel: str,
         array: str,
-        index: int,
+        indices,
         method: str,
-        payload: Any = None,
+        payloads,
         payload_bytes: int = 8,
     ) -> None:
-        """Send through a named aggregation channel (paper §IV-C)."""
-        self.runtime._send_aggregated(self.pe, channel, array, index, method, payload, payload_bytes)
+        """Send one record per ``(indices[i], payloads[i])`` through a
+        named aggregation channel (paper §IV-C); ``payload_bytes`` is
+        each record's modelled size."""
+        self.runtime._send_aggregated(
+            self.pe, channel, array, indices, method, payloads, payload_bytes
+        )
 
     def contribute(self, reduction: str, value: Any) -> None:
         """Contribute this chare's share to a named reduction."""

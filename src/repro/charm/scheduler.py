@@ -32,8 +32,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.charm.aggregation import AggregationRecord, MessageAggregator
-from repro.charm.tram import TramChannel, TramRecord
+from repro.charm.aggregation import Batch, MessageAggregator, RecordBlock
+from repro.charm.tram import TramChannel
 from repro.charm.chare import Chare, ChareArray, ChareProxy
 from repro.charm.machine import Machine, MachineConfig
 from repro.charm.messages import CONTROL_BYTES, Message
@@ -57,11 +57,10 @@ class _PEAgent(Chare):
 
     # -- aggregated batch dispatch -------------------------------------
     def recv_batch(self, payload) -> None:
-        channel, records = payload
+        _channel, blocks = payload
         rt = self.runtime
-        for rec in records:
-            self.charge(DISPATCH_OVERHEAD)
-            rt._invoke_inline(rec.array, rec.index, rec.method, rec.payload)
+        for block in blocks:
+            rt._deliver(block, rt._charge_each(DISPATCH_OVERHEAD, len(block)))
 
     # -- broadcast fan-out ----------------------------------------------
     def bcast(self, payload) -> None:
@@ -84,22 +83,17 @@ class _PEAgent(Chare):
 
     # -- TRAM mesh forwarding -----------------------------------------------
     def tram_batch(self, payload) -> None:
-        channel, records = payload
+        channel, blocks = payload
         rt = self.runtime
         chan = rt.aggregators[channel]
-        for rec in records:
-            self.charge(DISPATCH_OVERHEAD)
-            if rec.dst_pe == self.pe:
-                rt._invoke_inline(rec.inner.array, rec.inner.index, rec.inner.method,
-                                  rec.inner.payload)
-            else:
-                out = chan.append(self.pe, rec, count_in=False)
-                if out is not None:
-                    rt._emit_tram_batch(channel, *out)
+        for block in blocks:
+            charged = rt._charge_each(DISPATCH_OVERHEAD, len(block))
+            here = block.dst_pe == self.pe
+            rt._deliver(block.take(here), charged[here])
+            rt._emit(channel, chan.append(self.pe, block.take(~here), count_in=False))
         # Intermediates forward what they re-aggregated immediately so the
         # phase drains without a distributed termination protocol.
-        for hop, batch in chan.flush_pe(self.pe):
-            rt._emit_tram_batch(channel, hop, batch)
+        rt._emit(channel, chan.flush_pe(self.pe))
 
     # -- completion/quiescence detection wave ------------------------------
     def sync_ask(self, name: str) -> None:
@@ -142,7 +136,7 @@ class RuntimeSimulator:
         self.msg_counter: Counter = Counter()
         self.bytes_counter: Counter = Counter()
         self.arrays: dict[str, ChareArray] = {}
-        self.aggregators: dict[str, MessageAggregator] = {}
+        self.aggregators: dict[str, MessageAggregator | TramChannel] = {}
         self._reductions: dict[str, ReductionSpec] = {}
         self._red_rounds: dict[str, dict[int, ReductionRound]] = {}
         self._heap: list = []
@@ -296,6 +290,17 @@ class RuntimeSimulator:
             raise ValueError("cannot charge negative time")
         self._exec_charge += seconds
 
+    def _charge_each(self, seconds: float, n: int) -> np.ndarray:
+        """Charge ``seconds`` ``n`` times, summed in sequence exactly as
+        ``n`` separate :meth:`_charge` calls would (``accumulate`` is a
+        sequential scan, unlike ``sum``); return the running charge
+        after each of them."""
+        steps = np.empty(n + 1)
+        steps[0], steps[1:] = self._exec_charge, seconds
+        running = np.add.accumulate(steps)
+        self._exec_charge = float(running[-1])
+        return running[1:]
+
     def _send_from_entry(
         self, src_pe: int, array: str, index: int, method: str, payload: Any, payload_bytes: int
     ) -> None:
@@ -315,38 +320,44 @@ class RuntimeSimulator:
         self.pe_costs[src_pe].add("comm", src_cost)
 
     def _send_aggregated(
-        self, src_pe: int, channel: str, array: str, index: int, method: str,
-        payload: Any, payload_bytes: int,
+        self, src_pe: int, channel: str, array: str, indices, method: str,
+        payloads, payload_bytes: int,
     ) -> None:
-        agg = self.aggregators[channel]
-        dst_pe = self.arrays[array].pe_of(index)
-        rec = AggregationRecord(array, index, method, payload, payload_bytes)
-        if isinstance(agg, TramChannel):
-            out = agg.append(src_pe, TramRecord(dst_pe, rec))
-            if out is not None:
-                self._emit_tram_batch(channel, *out)
-            return
-        batch = agg.append(src_pe, dst_pe, rec)
-        if batch is not None:
-            self._enqueue_batch(channel, dst_pe, batch)
+        indices = np.asarray(indices, dtype=np.int64)
+        payloads = np.asarray(payloads)
+        if indices.ndim != 1 or payloads.shape[:1] != indices.shape:
+            raise ValueError("send_via needs 1-D indices and one payload per index")
+        block = RecordBlock(
+            array, method, indices, payloads, self.arrays[array].placement[indices],
+            payload_bytes,
+        )
+        self._emit(channel, self.aggregators[channel].append(src_pe, block))
 
     def flush_channel(self, channel: str, src_pe: int) -> None:
         """End-of-phase flush of one PE's aggregation buffers."""
-        agg = self.aggregators[channel]
-        if isinstance(agg, TramChannel):
-            for hop, records in agg.flush_pe(src_pe):
-                self._emit_tram_batch(channel, hop, records)
-            return
-        for dst_pe, records in agg.flush_source(src_pe):
-            self._enqueue_batch(channel, dst_pe, records)
+        self._emit(channel, self.aggregators[channel].flush_pe(src_pe))
 
-    def _emit_tram_batch(self, channel: str, hop_pe: int, records: list) -> None:
-        nbytes = sum(r.payload_bytes for r in records)
-        self._outbox.append(("__pe__", hop_pe, "tram_batch", (channel, records), nbytes))
+    def _emit(self, channel: str, batches: list[Batch]) -> None:
+        """Queue flushed batches as departures of the running entry."""
+        entry = self.aggregators[channel].entry
+        for pe, blocks, nbytes in batches:
+            self._outbox.append(("__pe__", pe, entry, (channel, blocks), nbytes))
 
-    def _enqueue_batch(self, channel: str, dst_pe: int, records: list[AggregationRecord]) -> None:
-        nbytes = sum(r.payload_bytes for r in records)
-        self._outbox.append(("__pe__", dst_pe, "recv_batch", (channel, records), nbytes))
+    def _deliver(self, block: RecordBlock, charged: np.ndarray) -> None:
+        """Dispatch a block on its PE: one entry call per target chare
+        (in index order) with that chare's payloads in block order.
+        ``charged[i]`` is the running charge just after record ``i``'s
+        dispatch cost was charged."""
+        order = block.index.argsort(kind="stable")
+        index = block.index[order]
+        cuts = (index[1:] != index[:-1]).nonzero()[0] + 1
+        bounds = [0, *cuts.tolist(), index.size]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi > lo:
+                sel = order[lo:hi]
+                self._invoke_inline(
+                    block.array, int(index[lo]), block.method, block.payload[sel], charged[sel]
+                )
 
     def _contribute(self, pe: int, name: str, value: Any) -> None:
         spec = self._reductions[name]
@@ -392,18 +403,34 @@ class RuntimeSimulator:
     def _prepare_chare(self, chare: Chare) -> None:
         chare.runtime = self
 
-    def _invoke_inline(self, array: str, index: int, method: str, payload: Any) -> None:
+    def _invoke_inline(
+        self, array: str, index: int, method: str, payload: Any,
+        dispatched: np.ndarray | None = None,
+    ) -> None:
         """Run an entry method inline within the current execution,
-        attributing its charge to the target chare for cost tracking."""
+        attributing its charge to the target chare for cost tracking.
+
+        ``dispatched`` marks a call that delivers a block of records:
+        the running charge just after each record's dispatch.  The cost
+        feed is then rounded as one attribution per record at that
+        charge, as separate per-record calls would round it, with the
+        call's own charge (none for a record sink) on the last one.
+        """
         target = self.arrays[array].element(index)
         target.runtime = self
         before = self._exec_charge
         getattr(target, method)(payload)
         if array in self._tracked_arrays:
             key = (array, index)
-            self.chare_costs[key] = (
-                self.chare_costs.get(key, 0.0) + self._exec_charge - before
-            )
+            cost = self.chare_costs.get(key, 0.0)
+            if dispatched is None:
+                cost = cost + self._exec_charge - before
+            else:
+                *earlier, last = dispatched.tolist()
+                for charge in earlier:
+                    cost = cost + charge - charge
+                cost = cost + (last + (self._exec_charge - before)) - last
+            self.chare_costs[key] = cost
 
     def _local_elements(self, array: str, pe: int) -> list[int]:
         key = (array, pe)
@@ -518,9 +545,7 @@ class RuntimeSimulator:
         from repro.validate.invariants import InvariantViolation
 
         for name, agg in self.aggregators.items():
-            pending = (
-                agg.pending_pes() if isinstance(agg, TramChannel) else agg.pending_sources()
-            )
+            pending = agg.pending_pes()
             if pending:
                 raise InvariantViolation(
                     f"aggregation channel {name!r} still buffers records on "

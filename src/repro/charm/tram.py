@@ -15,32 +15,27 @@ column.  Each PE keeps aggregation buffers only toward its ~2·√P grid
 neighbours instead of toward all P peers, so buffers fill — and
 amortise per-message overheads — at much smaller per-destination
 traffic, at the price of an extra hop and per-record forwarding work.
+
+The channel carries the same columnar
+:class:`~repro.charm.aggregation.RecordBlock`\\ s as the direct one,
+keyed by each record's next hop, with 4 bytes of routing header per
+record.  An intermediate PE delivers the records addressed to itself
+as one block and re-appends the rest as one block toward their second
+hop (counted in :attr:`TramChannel.forwards`, not ``records_in``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from repro.charm.aggregation import AggregationRecord, _Buffer
+import numpy as np
 
-__all__ = ["TramRecord", "TramChannel"]
+from repro.charm.aggregation import Batch, RecordBlock, _BlockBuffers
 
-
-@dataclass(frozen=True)
-class TramRecord:
-    """An application record in flight, tagged with its final PE."""
-
-    dst_pe: int
-    inner: AggregationRecord
-
-    @property
-    def payload_bytes(self) -> int:
-        # 4 bytes of routing header on top of the application payload.
-        return self.inner.payload_bytes + 4
+__all__ = ["TramChannel"]
 
 
-class TramChannel:
+class TramChannel(_BlockBuffers):
     """2-D mesh routing with per-neighbour aggregation buffers.
 
     Parameters
@@ -58,71 +53,35 @@ class TramChannel:
         buffering (records forward immediately, still via the mesh).
     """
 
+    #: 4 bytes of routing header (the final PE) on top of each payload
+    header_bytes = 4
+    #: the PE-agent entry that delivers or forwards this channel's batches
+    entry = "tram_batch"
+
     def __init__(self, name: str, n_pes: int, buffer_bytes: int = 16 * 1024):
         if n_pes < 1:
             raise ValueError("need at least one PE")
-        if buffer_bytes < 0:
-            raise ValueError("buffer_bytes must be >= 0")
-        self.name = name
+        super().__init__(name, buffer_bytes)
         self.n_pes = n_pes
-        self.buffer_bytes = buffer_bytes
         self.cols = max(1, int(math.isqrt(n_pes)))
-        self._buffers: dict[tuple[int, int], _Buffer] = {}
-        self.records_in = 0
-        self.batches_out = 0
         self.forwards = 0
 
     # -- mesh geometry ---------------------------------------------------
-    def coords(self, pe: int) -> tuple[int, int]:
-        return pe // self.cols, pe % self.cols
-
-    def next_hop(self, at_pe: int, dst_pe: int) -> int:
-        """Row-first dimension-ordered routing."""
-        r1, c1 = self.coords(at_pe)
-        r2, c2 = self.coords(dst_pe)
-        if c1 != c2:
-            candidate = r1 * self.cols + c2
-            # Ragged last row: if the row-peer doesn't exist, drop to the
-            # column immediately.
-            if candidate < self.n_pes:
-                return candidate
-        return dst_pe
+    def next_hop(self, at_pe: int, dst_pe):
+        """Row-first dimension-ordered routing (``dst_pe`` may be an array)."""
+        dst_col = np.asarray(dst_pe) % self.cols
+        row_peer = at_pe - at_pe % self.cols + dst_col
+        # Same column, or a ragged last row without that row-peer: go
+        # down the column directly.
+        return np.where((dst_col != at_pe % self.cols) & (row_peer < self.n_pes), row_peer, dst_pe)
 
     # -- buffering ---------------------------------------------------------
-    def append(
-        self, at_pe: int, record: TramRecord, count_in: bool = True
-    ) -> tuple[int, list[TramRecord]] | None:
-        """Buffer a record at ``at_pe``; return ``(hop, batch)`` on flush."""
+    def append(self, at_pe: int, block: RecordBlock, count_in: bool = True) -> list[Batch]:
+        """Buffer a block at ``at_pe`` toward each record's next hop;
+        return the ``(hop, blocks, bytes)`` batches it flushes.
+        ``count_in=False`` marks records forwarded by an intermediate PE."""
         if count_in:
-            self.records_in += 1
+            self.records_in += len(block)
         else:
-            self.forwards += 1
-        hop = self.next_hop(at_pe, record.dst_pe)
-        if self.buffer_bytes == 0:
-            self.batches_out += 1
-            return hop, [record]
-        buf = self._buffers.setdefault((at_pe, hop), _Buffer())
-        buf.records.append(record)
-        buf.bytes += record.payload_bytes
-        if buf.bytes >= self.buffer_bytes:
-            self._buffers.pop((at_pe, hop))
-            self.batches_out += 1
-            return hop, buf.records
-        return None
-
-    def flush_pe(self, pe: int) -> list[tuple[int, list[TramRecord]]]:
-        """Drain all of one PE's buffers (phase-end / forwarding flush)."""
-        out = []
-        for key in sorted(k for k in self._buffers if k[0] == pe):
-            buf = self._buffers.pop(key)
-            if buf.records:
-                self.batches_out += 1
-                out.append((key[1], buf.records))
-        return out
-
-    def pending_pes(self) -> set[int]:
-        return {k[0] for k in self._buffers}
-
-    @property
-    def aggregation_ratio(self) -> float:
-        return self.records_in / self.batches_out if self.batches_out else 0.0
+            self.forwards += len(block)
+        return self._buffer(at_pe, self.next_hop(at_pe, block.dst_pe), block)

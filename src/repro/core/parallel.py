@@ -158,15 +158,12 @@ class _PersonManager(Chare):
         sim.visits_today += int(rows.size)
         if sim.checker is not None:
             sim.checker.record_visits_sent(rows)
-        lm_of = sim.distribution.location_chare
-        dests = lm_of[sim.graph.visit_location[rows]]
-        det = sim.visit_detector
-        channel, lm_name = sim.name("visits"), sim.name("lm")
-        for row, dst in zip(rows.tolist(), dests.tolist()):
-            det.produce()
-            self.send_via(channel, lm_name, dst, "recv_visits", row, VISIT_BYTES)
-        self.sim.runtime.flush_channel(channel, self.pe)
-        det.producer_done()
+        lms = sim.distribution.location_chare[sim.graph.visit_location[rows]]
+        channel = sim.name("visits")
+        sim.visit_detector.produce(rows.size)
+        self.send_via(channel, sim.name("lm"), lms, "recv_visits", rows, VISIT_BYTES)
+        sim.runtime.flush_channel(channel, self.pe)
+        sim.visit_detector.producer_done()
 
     def recv_infect(self, payload) -> None:
         person, _minute = payload
@@ -192,17 +189,19 @@ class _LocationManager(Chare):
     def __init__(self, sim: "ParallelEpiSimdemics", locations: np.ndarray):
         self.sim = sim
         self.locations = locations
-        self.buffered_rows: list[int] = []
+        self.buffered_rows: list[np.ndarray] = []
 
-    def recv_visits(self, row: int) -> None:
-        self.sim.visit_detector.consume()
+    def recv_visits(self, rows: np.ndarray) -> None:
+        self.sim.visit_detector.consume(rows.size)
         if self.sim.checker is not None:
-            self.sim.checker.record_visit_received(row, self.index)
-        self.buffered_rows.append(row)
+            self.sim.checker.record_visit_received(rows, self.index)
+        self.buffered_rows.append(rows)
 
     def location_phase(self, day: int) -> None:
         sim = self.sim
-        rows = np.sort(np.asarray(self.buffered_rows, dtype=np.int64))
+        rows = np.sort(
+            np.concatenate(self.buffered_rows or [np.empty(0, dtype=np.int64)])
+        )
         self.buffered_rows = []
         phase = compute_infections(
             rows, sim.graph, sim.health_state, sim.scenario.disease,
@@ -212,10 +211,10 @@ class _LocationManager(Chare):
         infections = phase.infections
         if sim.checker is not None:
             sim.checker.record_infections(day, infections)
-        # Feed the predictive load balancer's application-specific view
-        # (a location keeps its last day with interactions).
-        hit = phase.interactions > 0
-        sim.last_interactions[phase.locations[hit]] = phase.interactions[hit]
+        # Feed the predictive load balancer's application-specific view:
+        # today's interactions of every owned location, zero where none.
+        sim.last_interactions[self.locations] = 0
+        sim.last_interactions[phase.locations] = phase.interactions
         # Per-location static + dynamic cost, summed in location order
         # (cumsum adds sequentially, like a scalar loop would).
         per_loc = sim.costs.location_static.evaluate(
@@ -423,7 +422,8 @@ class ParallelEpiSimdemics:
         self.migration_model = migration_model or MigrationCostModel()
         self.lb_steps = 0
         self.lb_moves = 0
-        #: per location, the S×I interactions of its last day with any
+        #: per location, the S×I interactions of the last location phase
+        #: (zero where there were none) — the predictive LB's input
         self.last_interactions = np.zeros(g.n_locations, dtype=np.int64)
         self._cost_snapshot: dict[tuple[str, int], float] = {}
 

@@ -38,8 +38,6 @@ aggregation buffers at exit, sane detector counters) — see
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from repro.core.exposure import InfectionBatch
@@ -123,8 +121,9 @@ class InvariantChecker:
         self._state0: np.ndarray | None = None
         self._visit_phase_open = False
         self._infect_phase_open = False
-        self._visits_sent: Counter = Counter()
-        self._visits_recv: Counter = Counter()
+        #: the day's visit-row blocks pushed into / taken out of the channel
+        self._visits_sent: list[np.ndarray] = []
+        self._visits_recv: list[np.ndarray] = []
         self._infects_sent = 0
         self._infects_recv = 0
         self._allowed = self._allowed_transitions(disease, extra_transitions)
@@ -207,62 +206,67 @@ class InvariantChecker:
         self._state0 = health_state.copy()
         self._visit_phase_open = True
         self._infect_phase_open = True
-        self._visits_sent.clear()
-        self._visits_recv.clear()
+        self._visits_sent = []
+        self._visits_recv = []
         self._infects_sent = 0
         self._infects_recv = 0
         self.infection_log[day] = InfectionBatch()
 
     # -- visit phase -----------------------------------------------------
     def record_visits_sent(self, rows: np.ndarray) -> None:
-        self._visits_sent.update(int(r) for r in np.asarray(rows).ravel())
+        """A PersonManager pushed the visit rows ``rows`` into the channel."""
+        self._visits_sent.append(np.asarray(rows, dtype=np.int64).ravel())
 
-    def record_visit_received(self, row: int, lm_index: int) -> None:
-        if not self._visit_phase_open:
+    def record_visit_received(self, rows: np.ndarray, lm_index: int) -> None:
+        """LocationManager ``lm_index`` took the block ``rows`` out."""
+        rows = np.asarray(rows, dtype=np.int64).ravel()
+        if not self._visit_phase_open and rows.size:
             self._fail(
-                f"detector-closure soundness broken: visit row {row} was "
+                f"detector-closure soundness broken: visit row {int(rows[0])} was "
                 f"delivered after the day-{self._day} visit phase closed"
             )
-        owner = int(self.distribution.location_chare[self.graph.visit_location[row]])
-        if owner != lm_index:
+        locations = self.graph.visit_location[rows]
+        owners = self.distribution.location_chare[locations]
+        wrong = np.flatnonzero(owners != lm_index)
+        if wrong.size:
+            i = wrong[0]
             self._fail(
-                f"misrouted visit: row {row} (location "
-                f"{int(self.graph.visit_location[row])}) arrived at LM {lm_index} "
-                f"but LM {owner} owns that location"
+                f"misrouted visit: row {int(rows[i])} (location "
+                f"{int(locations[i])}) arrived at LM {lm_index} "
+                f"but LM {int(owners[i])} owns that location"
             )
-        self._visits_recv[int(row)] += 1
+        self._visits_recv.append(rows)
 
     def close_visit_phase(self, channel=None) -> None:
         """The visit detector completed: delivery must be exactly-once."""
         self._visit_phase_open = False
-        if self._visits_sent != self._visits_recv:
-            lost = self._visits_sent - self._visits_recv
-            extra = self._visits_recv - self._visits_sent
-            if lost:
-                row, n = next(iter(sorted(lost.items())))
-                self._fail(
-                    f"visit delivery broken on day {self._day}: row {row} was "
-                    f"sent but {n} cop{'y' if n == 1 else 'ies'} never arrived"
-                )
-            row, n = next(iter(sorted(extra.items())))
+        missing = self._row_counts(self._visits_sent) - self._row_counts(self._visits_recv)
+        lost = np.flatnonzero(missing > 0)
+        if lost.size:
+            row, k = int(lost[0]), int(missing[lost[0]])
             self._fail(
                 f"visit delivery broken on day {self._day}: row {row} was "
-                f"delivered {n} more time(s) than it was sent"
+                f"sent but {k} cop{'y' if k == 1 else 'ies'} never arrived"
+            )
+        extra = np.flatnonzero(missing < 0)
+        if extra.size:
+            row, k = int(extra[0]), int(-missing[extra[0]])
+            self._fail(
+                f"visit delivery broken on day {self._day}: row {row} was "
+                f"delivered {k} more time(s) than it was sent"
             )
         self._ok()
-        if channel is not None and self._channel_pending(channel):
+        if channel is not None and channel.pending_pes():
             self._fail(
                 f"aggregation channel {channel.name!r} still buffers records "
                 f"after the day-{self._day} visit phase closed"
             )
         self._ok()
 
-    @staticmethod
-    def _channel_pending(channel) -> bool:
-        pending = getattr(channel, "pending_sources", None) or getattr(
-            channel, "pending_pes", None
-        )
-        return bool(pending())
+    def _row_counts(self, blocks: list[np.ndarray]) -> np.ndarray:
+        """Per visit row, how often it occurs in ``blocks``."""
+        rows = np.concatenate([np.empty(0, dtype=np.int64), *blocks])
+        return np.bincount(rows, minlength=self.graph.n_visits)
 
     # -- location / infect phase ----------------------------------------
     def record_infections(self, day: int, batch: InfectionBatch) -> None:

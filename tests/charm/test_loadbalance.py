@@ -234,6 +234,47 @@ class TestLBIntegration:
         assert sim.lb_steps >= 2
         assert res.result.curve.n_days == 6
 
+    def test_predictive_input_falls_to_zero(self, tiny_graph, monkeypatch):
+        """A location whose interactions fall to zero is predicted with
+        zero interactions — at its static (event) cost only — not with
+        the count of its last day that had any."""
+        import repro.core.parallel as parallel
+        from repro.core import Scenario, TransmissionModel
+        from repro.core.parallel import Distribution, ParallelEpiSimdemics
+        from repro.partition import round_robin_partition
+
+        mc = MachineConfig(n_nodes=2, cores_per_node=4, smp=True, processes_per_node=1)
+        m = Machine(mc)
+        part = round_robin_partition(tiny_graph, m.n_pes * 2)
+        # No infectious person, so every location has zero interactions.
+        sc = Scenario(
+            graph=tiny_graph, n_days=2, seed=5, initial_infections=0,
+            transmission=TransmissionModel(2e-4),
+        )
+        sim = ParallelEpiSimdemics(
+            sc, mc, Distribution.from_partition(part, m),
+            lb_period=1, lb_strategy="predictive",
+        )
+        sim.last_interactions[:] = 1000  # every location was hot earlier
+        predicted = []
+
+        def spy(costs, n_pes):
+            predicted.append(costs.copy())
+            return greedy_lb(costs, n_pes)
+
+        monkeypatch.setattr(parallel, "greedy_lb", spy)
+        sim.run()
+        assert not sim.last_interactions.any()
+        events = 2.0 * tiny_graph.location_visit_counts
+        per_loc = sim.costs.location_static.evaluate(events) + sim.costs.location_dynamic.evaluate(
+            events, np.zeros_like(events)
+        )
+        expected = np.zeros(part.k)
+        np.add.at(expected, part.location_part, per_loc)
+        assert len(predicted) == 2
+        for costs in predicted:
+            np.testing.assert_array_equal(costs, expected)
+
     def test_invalid_lb_options(self, tiny_graph):
         from repro.core import Scenario
         from repro.core.parallel import Distribution, ParallelEpiSimdemics

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.charm import Chare, MachineConfig, RuntimeSimulator
-from repro.charm.aggregation import AggregationRecord
-from repro.charm.tram import TramChannel, TramRecord
+from repro.charm.aggregation import RecordBlock
+from repro.charm.tram import TramChannel
 
 
-def _rec(i=0, nbytes=16):
-    return TramRecord(dst_pe=i, inner=AggregationRecord("arr", i, "m", None, nbytes))
+def _block(dst_pes, nbytes=16):
+    """One record per final PE in ``dst_pes``, each for element = its PE."""
+    dst = np.asarray(dst_pes, dtype=np.int64)
+    return RecordBlock("arr", "m", dst, dst, dst, nbytes)
 
 
 class TestGeometry:
@@ -69,30 +71,35 @@ class TestGeometry:
 class TestBuffering:
     def test_flush_on_threshold(self):
         chan = TramChannel("t", n_pes=16, buffer_bytes=48)
-        assert chan.append(0, _rec(15, nbytes=16)) is None
-        out = chan.append(0, _rec(15, nbytes=32))
-        assert out is not None
-        hop, records = out
+        assert chan.append(0, _block([15], nbytes=16)) == []
+        [(hop, blocks, nbytes)] = chan.append(0, _block([15], nbytes=32))
         assert hop == 3
-        assert len(records) == 2
+        assert sum(len(b) for b in blocks) == 2
+        assert nbytes == (16 + 4) + (32 + 4)  # payloads + routing headers
 
     def test_reaggregation_shares_buffers(self):
         """Records for different PEs in the same column share one buffer
         — the whole point of topological aggregation."""
         chan = TramChannel("t", n_pes=16, buffer_bytes=10**6)
-        chan.append(0, _rec(7))   # (1,3) — column 3
-        chan.append(0, _rec(15))  # (3,3) — column 3
+        chan.append(0, _block([7]))   # (1,3) — column 3
+        chan.append(0, _block([15]))  # (3,3) — column 3
         flushed = chan.flush_pe(0)
         assert len(flushed) == 1  # one buffer toward (0,3)
-        assert len(flushed[0][1]) == 2
+        assert sum(len(b) for b in flushed[0][1]) == 2
+
+    def test_forwarded_records_count_as_forwards(self):
+        chan = TramChannel("t", n_pes=16, buffer_bytes=10**6)
+        chan.append(0, _block([7, 15]))
+        chan.append(3, _block([7, 15]), count_in=False)
+        assert (chan.records_in, chan.forwards) == (2, 2)
 
 
 class Sender(Chare):
     def go(self, n):
         self.charge(1e-6)
         n_sinks = self.runtime.arrays["sink"].n_elements
-        for j in range(n):
-            self.send_via("tram", "sink", j % n_sinks, "recv", j, 16)
+        ids = np.arange(n)
+        self.send_via("tram", "sink", ids % n_sinks, "recv", ids, 16)
         self.runtime.flush_channel("tram", self.pe)
 
 
@@ -101,8 +108,8 @@ class Sink(Chare):
         self.got = []
 
     def recv(self, v):
-        self.charge(1e-7)
-        self.got.append(v)
+        self.charge(1e-7 * v.size)
+        self.got.extend(v.tolist())
 
 
 class TestRuntimeIntegration:
@@ -132,8 +139,7 @@ class TestRuntimeIntegration:
         """TRAM's structural property: the source touches at most
         ~2*sqrt(P) distinct next hops."""
         chan = TramChannel("t", n_pes=144, buffer_bytes=10**9)
-        for dst in range(144):
-            chan.append(0, _rec(dst))
+        chan.append(0, _block(np.arange(144)))
         assert len(chan.pending_pes()) == 1
         hops = {k for k in chan._buffers}
         assert len(hops) <= 2 * 12

@@ -92,36 +92,53 @@ class TestVisitDelivery:
         g = checker.graph
         checker.begin_day(0, np.zeros(g.n_persons, dtype=np.int64))
 
+    @staticmethod
+    def _lm_block(checker, lm=0, n=4):
+        """The first ``n`` visit rows owned by LocationManager ``lm``."""
+        owner = checker.distribution.location_chare[checker.graph.visit_location]
+        return np.flatnonzero(owner == lm)[:n]
+
+    def test_exact_delivery_passes(self, checker):
+        self._open_day(checker)
+        rows = self._lm_block(checker)
+        checker.record_visits_sent(rows)
+        checker.record_visit_received(rows[:2], 0)
+        checker.record_visit_received(rows[2:], 0)
+        checker.close_visit_phase()
+        assert checker.checks_passed == 2
+
     def test_lost_visit_fires(self, checker):
         self._open_day(checker)
-        checker.record_visits_sent(np.array([0, 1, 2]))
-        for row in (0, 1):
-            lm = int(checker.distribution.location_chare[checker.graph.visit_location[row]])
-            checker.record_visit_received(row, lm)
-        with pytest.raises(InvariantViolation, match="never arrived"):
+        rows = self._lm_block(checker)
+        checker.record_visits_sent(rows)
+        checker.record_visit_received(np.delete(rows, 2), 0)
+        with pytest.raises(InvariantViolation, match=f"row {rows[2]} was sent but 1 copy never"):
             checker.close_visit_phase()
 
     def test_duplicate_visit_fires(self, checker):
         self._open_day(checker)
-        checker.record_visits_sent(np.array([0]))
-        lm = int(checker.distribution.location_chare[checker.graph.visit_location[0]])
-        checker.record_visit_received(0, lm)
-        checker.record_visit_received(0, lm)
-        with pytest.raises(InvariantViolation, match="delivered 1 more time"):
+        rows = self._lm_block(checker)
+        checker.record_visits_sent(rows)
+        checker.record_visit_received(np.insert(rows, 3, rows[1]), 0)
+        with pytest.raises(InvariantViolation, match=f"row {rows[1]} was delivered 1 more time"):
             checker.close_visit_phase()
 
     def test_late_delivery_after_close_fires(self, checker):
         self._open_day(checker)
         checker.close_visit_phase()
-        lm = int(checker.distribution.location_chare[checker.graph.visit_location[0]])
         with pytest.raises(InvariantViolation, match="closure soundness"):
-            checker.record_visit_received(0, lm)
+            checker.record_visit_received(self._lm_block(checker), 0)
 
     def test_misrouted_visit_fires(self, checker):
         self._open_day(checker)
-        owner = int(checker.distribution.location_chare[checker.graph.visit_location[0]])
-        with pytest.raises(InvariantViolation, match="misrouted visit"):
-            checker.record_visit_received(0, owner + 1)
+        rows = self._lm_block(checker)
+        loc = int(checker.graph.visit_location[rows[0]])
+        with pytest.raises(
+            InvariantViolation,
+            match=rf"misrouted visit: row {rows[0]} \(location {loc}\) arrived at LM 1 "
+            "but LM 0 owns",
+        ):
+            checker.record_visit_received(rows, 1)
 
 
 class TestInfectPhase:
@@ -219,11 +236,11 @@ class TestEndToEnd:
         original = _LocationManager.recv_visits
         corrupted = {"done": False}
 
-        def corrupt(self, row):
-            original(self, row)
+        def corrupt(self, rows):
+            original(self, rows)
             if not corrupted["done"]:
                 corrupted["done"] = True
-                original(self, row)  # one row arrives twice
+                original(self, rows[:1])  # one row arrives twice
 
         monkeypatch.setattr(_LocationManager, "recv_visits", corrupt)
         with pytest.raises(InvariantViolation):
@@ -270,12 +287,11 @@ class TestDetectorCounters:
             det._wave_result(None, (2, 5, 0))
 
     def test_undrained_channel_fires(self):
-        from repro.charm.aggregation import AggregationRecord
+        from repro.charm.aggregation import RecordBlock
 
         rt = self._runtime()
         rt.create_channel("stuck", 1 << 16)
-        rt.aggregators["stuck"].append(
-            0, 1, AggregationRecord("visits", 0, "recv", None, 8)
-        )
+        one = np.array([1])
+        rt.aggregators["stuck"].append(0, RecordBlock("visits", "recv", one, one, one, 8))
         with pytest.raises(InvariantViolation, match="stuck"):
             rt._check_drained()
